@@ -1,0 +1,5 @@
+"""Outside-in benchmark of saddle_ssn: time to a certified gap.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see perfbench/README.md.
+"""
