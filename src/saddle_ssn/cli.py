@@ -40,6 +40,7 @@ from .trace import PHASE_SSN, TraceRow
 SEED_OFFSET_ENV = "SADDLE_SSN_SEED_OFFSET"
 
 METHODS = ("prm-li", "prm-qa", "eg", "ogda", "pssn-v1", "pssn-v2", "hpssn")
+HYBRID_METHODS = ("pssn-v1", "pssn-v2", "hpssn")
 
 TOLERANCES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 
@@ -215,13 +216,9 @@ def _parse_seeds(text: str) -> list[int]:
 
 def _default_workers() -> int:
     try:
-        import psutil
-        cores = psutil.cpu_count(logical=False)
-        if cores:
-            return cores
-    except ImportError:
-        pass
-    return os.cpu_count() or 1
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,14 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output directory (default: bench_out)")
     p.add_argument("--workers", type=int, default=None,
                    help="parallel worker processes "
-                        "(default: physical cores)")
+                        "(default: CPUs this process may run on)")
     return p
 
 
 def run_suite(args: argparse.Namespace) -> int:
     """Execute the configured runs and write all output files."""
-    seed_offset = int(os.environ.get(SEED_OFFSET_ENV, "0"))
-    seeds = [s + seed_offset for s in args.seed_list]
+    seeds = [s + args.seed_offset for s in args.seed_list]
     runs = []
     for seed in seeds:
         spec = InstanceSpec(kind=args.kind, n=args.n, m=args.m, seed=seed,
@@ -306,7 +302,7 @@ def run_suite(args: argparse.Namespace) -> int:
         "n": args.n,
         "m": args.m,
         "seeds": seeds,
-        "seed_offset": seed_offset,
+        "seed_offset": args.seed_offset,
         "methods": args.method_list,
         "gamma": args.gamma,
         "switch_threshold": args.switch_threshold,
@@ -360,8 +356,22 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("budgets must be positive")
     if args.switch_threshold is not None and args.switch_threshold <= args.target:
         parser.error("--switch-threshold must exceed --target")
+    hybrids = [m for m in args.method_list if m in HYBRID_METHODS]
+    if hybrids and args.switch_threshold is None:
+        threshold = default_switch_threshold(
+            InstanceSpec(kind=args.kind, n=args.n, m=args.m, path=args.path))
+        if args.target >= threshold:
+            parser.error(f"--target {args.target:g} must be below the "
+                         f"switch threshold {threshold:g} of "
+                         f"{', '.join(hybrids)}; lower it or pass "
+                         f"--switch-threshold")
     if args.workers is not None and args.workers < 1:
         parser.error("--workers must be positive")
+    raw_offset = os.environ.get(SEED_OFFSET_ENV, "0")
+    try:
+        args.seed_offset = int(raw_offset)
+    except ValueError:
+        parser.error(f"{SEED_OFFSET_ENV} must be an integer, got {raw_offset!r}")
     return run_suite(args)
 
 

@@ -9,8 +9,20 @@ gives D, and the chain rule through the splitting step yields
 
 a valid generalized Jacobian of the residual.  J has positive
 semidefinite symmetric part, so J + mu I is invertible for every
-mu > 0 with inverse norm at most 1/mu; the regularized Newton system
-(J + mu I) dz = -r is solved densely by LU factorization.
+mu > 0 with inverse norm at most 1/mu.
+
+D = B B' with B = blockdiag(E_x' C_x, E_y' C_y), where E selects the
+active coordinates of a block and C = I - 1 1'/k centers them.
+Multiplying the regularized system (J + mu I) dz = -r by M gives
+
+    (M_mu + (gamma F - I) B B') dz = -M r,   M_mu = (1 + mu) I + mu gamma F,
+
+and Woodbury's identity reduces it to one capacitance system
+S = I + B' L_mu B of size kx + ky, with L_mu = M_mu^(-1) (gamma F - I).
+Every function of F here is diagonal on the singular pairs of the
+context's SVD (see splitting), so S costs three scaled products with
+the active rows of the SVD factors, O(min(n, m) (kx + ky)^2), and one
+LU factorization per trial; nothing of size n + m is factored.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .game import as_vector, project_simplex
-from .splitting import DrsContext, ResidualValue, resolve
+from .splitting import DrsContext, ResidualValue, apply_spectral, resolve
 
 # Projection coordinates above this are treated as active.  The
 # thresholded projection produces exact zeros, so the cut is safe; at a
@@ -86,32 +98,62 @@ def boundary_margins(ctx: DrsContext, z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ResidualJacobian:
-    """Dense generalized Jacobian of the splitting residual at a point."""
+    """Active-set form of the generalized Jacobian at a point.
 
-    matrix: np.ndarray
+    ``rows`` and ``cols`` index the active coordinates of each player;
+    ``left`` and ``right`` hold the SVD factor rows on them, centered
+    over each active set, i.e. C_x E_x U and C_y E_y V.
+    """
+
+    ctx: DrsContext
+    rows: np.ndarray
+    cols: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+    def gather(self, w: np.ndarray) -> np.ndarray:
+        """B' w: the centered active entries of each block."""
+        n, kx = self.ctx.game.n, self.rows.size
+        out = np.concatenate([w[self.rows], w[n + self.cols]])
+        out[:kx] -= out[:kx].mean(axis=0)
+        out[kx:] -= out[kx:].mean(axis=0)
+        return out
+
+    def scatter(self, s: np.ndarray) -> np.ndarray:
+        """B s: center each block of s and scatter it onto its active set."""
+        n, kx = self.ctx.game.n, self.rows.size
+        out = np.zeros((n + self.ctx.game.m,) + s.shape[1:])
+        out[self.rows] = s[:kx] - s[:kx].mean(axis=0)
+        out[n + self.cols] = s[kx:] - s[kx:].mean(axis=0)
+        return out
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense J, built on first use as a reference for tests only."""
+        eye = np.eye(self.ctx.game.n + self.ctx.game.m)
+        d = self.scatter(self.gather(eye))
+        return d - resolve(self.ctx, 2.0 * d - eye)
 
 
 def residual_jacobian(ctx: DrsContext, z,
                       force_active=()) -> ResidualJacobian:
-    """Assemble J = D - M^(-1)(2 D - I) at z by a block resolvent solve.
+    """Generalized Jacobian of the residual at z, in active-set form.
 
-    D is the block-diagonal projection Jacobian of both simplex blocks.
-    The resolvent is applied to all n + m columns of 2D - I at once
-    through the cached Cholesky factor.  ``force_active`` takes stacked
-    coordinate indices to add to the active sets, selecting an element
-    of a neighboring piece.
+    D is the block-diagonal projection Jacobian of both simplex blocks;
+    only its active sets and the matching rows of the SVD factors are
+    kept.  ``force_active`` takes stacked coordinate indices to add to
+    the active sets, selecting an element of a neighboring piece.
     """
     zv = as_vector(z)
     n = ctx.game.n
     idx = np.asarray(tuple(force_active), dtype=int)
-    gx = projection_jacobian(zv[:n], idx[idx < n]).matrix()
-    gy = projection_jacobian(zv[n:], idx[idx >= n] - n).matrix()
-    d = np.zeros((zv.size, zv.size))
-    d[:n, :n] = gx
-    d[n:, n:] = gy
-    b = 2.0 * d - np.eye(zv.size)
-    j = d - resolve(ctx, b)
-    return ResidualJacobian(matrix=j)
+    rows = np.flatnonzero(projection_jacobian(zv[:n], idx[idx < n]).active_mask)
+    cols = np.flatnonzero(
+        projection_jacobian(zv[n:], idx[idx >= n] - n).active_mask)
+    left = ctx.left[rows]
+    right = ctx.right[cols]
+    return ResidualJacobian(ctx, rows, cols, left - left.mean(axis=0),
+                            right - right.mean(axis=0))
 
 
 def newton_solve(jac: ResidualJacobian, mu: float,
@@ -119,20 +161,43 @@ def newton_solve(jac: ResidualJacobian, mu: float,
     """Solve the regularized Newton system (J + mu I) dz = -r.
 
     mu > 0 guarantees solvability because the symmetric part of J is
-    positive semidefinite, which also bounds |dz| <= |r| / mu.  The
-    solve is verified a posteriori; NaN contamination or an excessive
-    backward error raises LinearSolveError.
+    positive semidefinite, which also bounds |dz| <= |r| / mu.  With
+    g = M_mu^(-1) M r the step is dz = -(g - L_mu B S^(-1) B' g).  The
+    solve is verified a posteriori on the original system; NaN
+    contamination or an excessive backward error raises
+    LinearSolveError.
     """
     if not np.isfinite(mu) or mu <= 0.0:
         raise ValueError(f"regularization mu must be positive, got {mu}")
-    m = jac.matrix + mu * np.eye(jac.matrix.shape[0])
+    ctx, kx, ky = jac.ctx, jac.rows.size, jac.cols.size
+    # On a singular pair, with s = i gamma sigma, M_mu^(-1) M and L_mu
+    # are (1 + s)/den and (s - 1)/den, den = (1 + mu) + mu s.  Each is
+    # passed as its value at s = 0 plus the remainder, written so that
+    # it vanishes exactly at sigma = 0.
+    s = 1j * ctx.gamma * ctx.sigma
+    t = (1.0 + mu) * ((1.0 + mu) + mu * s)
+    ell = s * (1.0 + 2.0 * mu) / t
+    g = apply_spectral(ctx, s / t, 1.0 / (1.0 + mu), res.r)
+    # S = I + B'L_mu B = mu/(1+mu) I + blockdiag(1 1'/k)/(1+mu) + the
+    # pair part, whose (y, x) block is minus the transpose of (x, y).
+    cap = np.empty((kx + ky, kx + ky))
+    cap[:kx, :kx] = (jac.left * ell.real) @ jac.left.T
+    cap[:kx, kx:] = (jac.left * ell.imag) @ jac.right.T
+    cap[kx:, :kx] = -cap[:kx, kx:].T
+    cap[kx:, kx:] = (jac.right * ell.real) @ jac.right.T
+    cap[:kx, :kx] += 1.0 / ((1.0 + mu) * kx)
+    cap[kx:, kx:] += 1.0 / ((1.0 + mu) * ky)
+    cap[np.diag_indices_from(cap)] += mu / (1.0 + mu)
     try:
-        dz = scipy.linalg.solve(m, -res.r)
+        y = scipy.linalg.solve(cap, jac.gather(g))
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise LinearSolveError(f"Newton system solve failed: {exc}") from exc
+    dz = apply_spectral(ctx, ell, -1.0 / (1.0 + mu), jac.scatter(y)) - g
     if not np.all(np.isfinite(dz)):
         raise LinearSolveError("Newton system produced non-finite step")
-    backward = np.linalg.norm(m @ dz + res.r)
+    d_dz = jac.scatter(jac.gather(dz))
+    lhs = d_dz - resolve(ctx, 2.0 * d_dz - dz) + mu * dz
+    backward = np.linalg.norm(lhs + res.r)
     if backward > 1e-10 * (res.norm + 1.0):
         raise LinearSolveError(
             f"Newton system solve residual {backward:.3e} exceeds tolerance")

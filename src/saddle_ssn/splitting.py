@@ -12,9 +12,15 @@ F(profile).  The solver works with the displacement R = Id - T, which
 is monotone, 1-Lipschitz, and piecewise affine, so a semi-smooth Newton
 method applies to R(z) = 0.
 
-The linear solve with M = I + gamma F reduces by Schur complement to a
-single symmetric positive definite system on the smaller side, whose
-Cholesky factor is computed once per context and reused.
+Every linear map the solver needs is a rational function of F.  With
+the thin SVD A = U diag(sigma) V', F maps each singular pair (U_i, V_i)
+into itself and acts there as multiplication by i sigma_i, in the
+complex coordinate U_i'p - i V_i'q of z = (p, q); it vanishes on the
+complement.  A
+function f(F) is thus fixed by the scalars f(i sigma_i) and f(0), and
+costs four products with the factors.  The SVD is computed once per
+context and serves the resolvent for every right-hand side and the
+Newton solves for every regularization (see jacobian).
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .game import (LiftedPoint, MatrixGame, StrategyProfile, as_vector,
                    project_pair, project_product, saddle_operator)
@@ -30,58 +35,57 @@ from .game import (LiftedPoint, MatrixGame, StrategyProfile, as_vector,
 
 @dataclass(frozen=True)
 class DrsContext:
-    """A game, a splitting parameter, and the factored resolvent.
+    """A game, a splitting parameter, and the thin SVD of the payoff.
 
-    ``chol`` is the Cholesky factorization of I + gamma^2 A A' when
-    n <= m ("row" side), else of I + gamma^2 A'A ("col" side).
-    Immutable; safe to share across threads and solver phases.
+    ``left`` (n x r), ``sigma`` (r) and ``right`` (m x r) satisfy
+    A = left diag(sigma) right' with r = min(n, m).  Immutable; safe to
+    share across threads and solver phases.
     """
 
     game: MatrixGame
     gamma: float
-    chol: tuple
-    side: str
+    left: np.ndarray
+    sigma: np.ndarray
+    right: np.ndarray
 
 
 def build_context(game: MatrixGame, gamma: float) -> DrsContext:
-    """Factor the resolvent of the payoff operator for reuse.
+    """Take the thin SVD of the payoff once for every later solve.
 
-    Builds the smaller of the two Gram-regularized matrices and takes
-    its Cholesky factor.  Cost is one dense factorization of size
-    min(n, m); every subsequent solve is two triangular solves plus two
-    products with A.
+    Cost is one dense SVD of the n x m payoff; every later application
+    of a function of F is four products with the factors.
     """
     if not np.isfinite(gamma) or gamma <= 0.0:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    a = game.payoff
-    g2 = gamma * gamma
-    if game.n <= game.m:
-        gram = np.eye(game.n) + g2 * (a @ a.T)
-        side = "row"
-    else:
-        gram = np.eye(game.m) + g2 * (a.T @ a)
-        side = "col"
-    return DrsContext(game=game, gamma=float(gamma),
-                      chol=cho_factor(gram, lower=True), side=side)
+    left, sigma, right_t = np.linalg.svd(game.payoff, full_matrices=False)
+    return DrsContext(game=game, gamma=float(gamma), left=left, sigma=sigma,
+                      right=np.ascontiguousarray(right_t.T))
+
+
+def apply_spectral(ctx: DrsContext, dev: np.ndarray, c0: float,
+                   w: np.ndarray) -> np.ndarray:
+    """Apply f(F) to w, where f(0) = c0 and f(i sigma_j) = c0 + dev[j].
+
+    Accepts a vector of length n + m or a matrix with n + m rows.
+    """
+    n = ctx.game.n
+    shape = (-1,) + (1,) * (w.ndim - 1)
+    alpha, beta = dev.real.reshape(shape), dev.imag.reshape(shape)
+    a = ctx.left.T @ w[:n]
+    b = ctx.right.T @ w[n:]
+    return c0 * w + np.concatenate([ctx.left @ (alpha * a + beta * b),
+                                    ctx.right @ (alpha * b - beta * a)])
 
 
 def resolve(ctx: DrsContext, w: np.ndarray) -> np.ndarray:
     """Solve M u = w with M = [[I, gamma A], [-gamma A', I]].
 
     Accepts a vector of length n + m or a matrix with n + m rows, and
-    returns the solution with the same shape.  Uses the cached Cholesky
-    factor of the Schur complement on the factored side.
+    returns the solution with the same shape.  M^(-1) is 1/(1 + i gamma
+    sigma_j) on each singular pair and the identity elsewhere.
     """
-    game, gamma = ctx.game, ctx.gamma
-    a = game.payoff
-    p, q = w[:game.n], w[game.n:]
-    if ctx.side == "row":
-        u = cho_solve(ctx.chol, p - gamma * (a @ q))
-        v = q + gamma * (a.T @ u)
-    else:
-        v = cho_solve(ctx.chol, q + gamma * (a.T @ p))
-        u = p - gamma * (a @ v)
-    return np.concatenate([u, v])
+    s = 1j * ctx.gamma * ctx.sigma
+    return apply_spectral(ctx, -s / (1.0 + s), 1.0, w)
 
 
 def apply_drs(ctx: DrsContext, z) -> LiftedPoint:

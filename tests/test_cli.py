@@ -19,7 +19,7 @@ from saddle_ssn.cli import (
 )
 from saddle_ssn.game import MatrixGame
 from saddle_ssn.instances import InstanceSpec, save_matrix
-from saddle_ssn.cli import _parse_seeds
+from saddle_ssn.cli import _default_workers, _parse_seeds
 from saddle_ssn.trace import PHASE_FO, PHASE_SSN, TraceRow
 
 
@@ -293,6 +293,26 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
 
+    def test_target_at_the_hybrid_switch_threshold_is_a_usage_error(
+            self, tmp_path, capsys):
+        out_dir = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            main(["--n", "5", "--m", "5", "--methods", "pssn-v1",
+                  "--target", "0.5", "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert "switch threshold 0.1 of pssn-v1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_first_order_suites_accept_any_target(self, tmp_path):
+        rc, out_dir = run_cli(tmp_path, "loose", [
+            "--n", "5", "--m", "5", "--seeds", "0",
+            "--methods", "prm-qa,eg,ogda", "--target", "0.5",
+            "--fo-budget", "500", "--workers", "1",
+        ])
+        assert rc == 0
+        rows = read_rows(os.path.join(out_dir, "runs.csv"))
+        assert "ERROR" not in {r["phase"] for r in rows}
+
     def test_unknown_method_names_the_choices(self, capsys):
         with pytest.raises(SystemExit):
             main(["--methods", "bogus"])
@@ -317,6 +337,14 @@ class TestSeedOffset:
         rows = read_rows(os.path.join(out_dir, "runs.csv"))
         assert {r["seed"] for r in rows} == {"7", "8"}
 
+    def test_non_integer_offset_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("SADDLE_SSN_SEED_OFFSET", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["--n", "5", "--m", "5", "--methods", "eg"])
+        assert exc.value.code == 2
+        assert "SADDLE_SSN_SEED_OFFSET must be an integer, got 'abc'" in \
+            capsys.readouterr().err
+
     def test_offset_matches_directly_shifted_seeds(self, tmp_path, monkeypatch):
         base = ["--kind", "uniform", "--n", "5", "--m", "5",
                 "--methods", "eg", "--fo-budget", "500", "--workers", "1"]
@@ -329,3 +357,16 @@ class TestSeedOffset:
         first = [strip(l) for l in read_lines(os.path.join(dir1, "runs.csv"))]
         second = [strip(l) for l in read_lines(os.path.join(dir2, "runs.csv"))]
         assert first == second
+
+
+class TestDefaultWorkers:
+    def test_counts_the_cpus_of_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _default_workers() == 3
+
+    def test_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert _default_workers() == 6

@@ -197,10 +197,35 @@ class TestResidualJacobian:
 
 class TestNewtonSolve:
     def test_diagonal_closed_form(self):
-        jac = ResidualJacobian(matrix=np.zeros((2, 2)))
+        # A 1x1 zero game has D = 0 and M = I, so J = I and the step is
+        # -r / (1 + mu).
+        ctx = make_ctx(np.zeros((1, 1)))
+        jac = residual_jacobian(ctx, np.array([1.0, 1.0]))
         res = ResidualValue(r=np.array([1.0, 1.0]), norm=float(np.sqrt(2.0)))
-        dz = newton_solve(jac, 2.0, res)
+        dz = newton_solve(jac, 1.0, res)
         assert np.array_equal(dz, np.array([-0.5, -0.5]))
+
+    @pytest.mark.parametrize("n, m", [(4, 9), (9, 4), (7, 7), (1, 8), (8, 1)])
+    def test_matches_the_dense_solve(self, n, m):
+        rng = philox(70 + 10 * n + m)
+        game = random_game(rng, n, m, kind="normal")
+        worst = 0.0
+        for gamma in (0.5, 1.0, 2.0):
+            ctx = build_context(game, gamma)
+            for _ in range(8):
+                z = rng.standard_normal(n + m) * 1.5
+                margins = boundary_margins(ctx, z)
+                near = np.flatnonzero(np.isfinite(margins))
+                for force in ((), tuple(near[:1])):
+                    jac = residual_jacobian(ctx, z, force_active=force)
+                    res = residual(ctx, z)
+                    for mu in (1e-4, 1e-2, 1.0, 1e3):
+                        dz = newton_solve(jac, mu, res)
+                        ref = np.linalg.solve(
+                            jac.matrix + mu * np.eye(n + m), -res.r)
+                        worst = max(worst, np.linalg.norm(dz - ref)
+                                    / np.linalg.norm(ref))
+        assert worst <= 1e-10
 
     def test_solves_the_regularized_system(self):
         rng = philox(67)
@@ -228,15 +253,18 @@ class TestNewtonSolve:
             assert np.linalg.norm(dz) <= res.norm / mu * (1.0 + 1e-10) + 1e-300
 
     def test_rejects_non_positive_regularization(self):
-        jac = ResidualJacobian(matrix=np.eye(2))
+        jac = residual_jacobian(make_ctx(np.zeros((1, 1))), np.zeros(2))
         res = ResidualValue(r=np.ones(2), norm=float(np.sqrt(2.0)))
         for mu in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 newton_solve(jac, mu, res)
 
     def test_flags_unusable_systems(self):
-        bad = ResidualJacobian(matrix=np.array([[np.nan, 0.0], [0.0, 1.0]]))
-        res = ResidualValue(r=np.ones(2), norm=float(np.sqrt(2.0)))
+        ctx = make_ctx(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        jac = residual_jacobian(ctx, np.array([0.5, 0.5, 0.5, 0.5]))
+        bad = ResidualJacobian(ctx, jac.rows, jac.cols,
+                               np.full_like(jac.left, np.nan), jac.right)
+        res = ResidualValue(r=np.ones(4), norm=2.0)
         with pytest.raises(LinearSolveError):
             newton_solve(bad, 1.0, res)
 

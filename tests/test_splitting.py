@@ -37,10 +37,17 @@ class TestBuildContext:
         assert ctx.gamma == 0.5
 
     def test_factors_the_smaller_gram_side(self):
-        wide = make_ctx(np.ones((2, 9)))
-        tall = make_ctx(np.ones((9, 2)))
-        assert wide.side == "row"
-        assert tall.side == "col"
+        # The thin SVD has min(n, m) singular pairs: the spectrum of the
+        # smaller Gram matrix.
+        rng = philox(40)
+        for n, m in ((2, 9), (9, 2)):
+            payoff = rng.standard_normal((n, m))
+            ctx = make_ctx(payoff)
+            assert ctx.left.shape == (n, 2)
+            assert ctx.sigma.shape == (2,)
+            assert ctx.right.shape == (m, 2)
+            assert np.allclose(ctx.left * ctx.sigma @ ctx.right.T, payoff,
+                               atol=1e-13)
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_bad_step(self, gamma):
@@ -74,6 +81,23 @@ class TestResolve:
             p, q = rng.standard_normal(2)
             out = resolve(ctx, np.array([p, q]))
             assert out == pytest.approx([(p - q) / 2.0, (p + q) / 2.0], abs=1e-14)
+
+    def test_matches_the_explicit_inverse(self):
+        rng = philox(51)
+        for n, m in ((3, 8), (8, 3), (5, 5), (1, 6), (6, 1)):
+            game = random_game(rng, n, m, kind="normal")
+            a = game.payoff
+            for gamma in GAMMAS:
+                ctx = build_context(game, gamma)
+                dense = np.block([[np.eye(n), gamma * a],
+                                  [-gamma * a.T, np.eye(m)]])
+                inv = np.linalg.inv(dense)
+                w = rng.standard_normal(n + m)
+                block = rng.standard_normal((n + m, 4))
+                assert np.allclose(resolve(ctx, w), inv @ w,
+                                   atol=1e-12, rtol=1e-12)
+                assert np.allclose(resolve(ctx, block), inv @ block,
+                                   atol=1e-12, rtol=1e-12)
 
     def test_matrix_right_hand_side_matches_columnwise(self):
         rng = philox(44)
