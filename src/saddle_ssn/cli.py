@@ -28,7 +28,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .baselines import FomConfig, extragradient_run, ogda_run
@@ -278,6 +277,9 @@ def run_suite(args: argparse.Namespace) -> int:
     workers = args.workers if args.workers else _default_workers()
     t_start = time.perf_counter()
     if workers > 1 and len(runs) > 1:
+        # Imported here: a serial suite should not pay for loading
+        # multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(execute_run, runs))
     else:
@@ -350,12 +352,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--n and --m must be positive")
     if args.gamma <= 0.0 or not math.isfinite(args.gamma):
         parser.error("--gamma must be positive")
-    if args.target <= 0.0:
-        parser.error("--target must be positive")
+    if not 0.0 < args.target < math.inf:
+        parser.error(f"--target must be positive and finite, got {args.target}")
     if args.fo_budget < 1 or args.checkpoint_every < 1:
         parser.error("budgets must be positive")
-    if args.switch_threshold is not None and args.switch_threshold <= args.target:
-        parser.error("--switch-threshold must exceed --target")
+    if (args.switch_threshold is not None
+            and not args.target < args.switch_threshold < math.inf):
+        parser.error("--switch-threshold must be finite and exceed --target, "
+                     f"got {args.switch_threshold}")
     hybrids = [m for m in args.method_list if m in HYBRID_METHODS]
     if hybrids and args.switch_threshold is None:
         threshold = default_switch_threshold(

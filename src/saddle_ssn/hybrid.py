@@ -1,7 +1,8 @@
 """Hybrid schedules combining regret matching with the Newton solver.
 
-Three variants, all starting from uniform strategies with the resolvent
-factored up front:
+Three variants, all starting from uniform strategies.  The splitting
+context (one thin SVD of the payoff) is built when Newton work first
+needs it, so a run that never leaves regret matching never pays for it:
 
 * ``pssn-v1``: run averaged regret matching until the exact gap falls
   under a switch threshold, then hand the lifted average to the Newton
@@ -21,6 +22,7 @@ the reported status never relies on stale solver bookkeeping.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -75,8 +77,11 @@ class HybridConfig:
             raise ValueError(
                 f"target gap {self.target_gap} must be below the switch "
                 f"threshold {self.switch_gap_threshold}")
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        # Checked here in full, since the context that would also reject
+        # it is built only when Newton work starts.
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(
+                f"gamma must be positive and finite, got {self.gamma}")
         if min(self.theta_update_period, self.max_fo_iters,
                self.hpssn_probe_steps, self.gap_check_period) < 1:
             raise ValueError("periods and budgets must be positive")
@@ -130,7 +135,9 @@ def run_hybrid(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
 def _run_pssn(game: MatrixGame, config: HybridConfig,
               tuned: bool) -> HybridOutcome:
     t0 = time.perf_counter()
-    ctx = build_context(game, config.gamma)
+    # The tuned variant probes damping during regret matching; v1 first
+    # needs the context at the switch.
+    ctx = build_context(game, config.gamma) if tuned else None
     scfg = config.ssn_config()
     row = RegretMatchingState.uniform(game.n)
     col = RegretMatchingState.uniform(game.m)
@@ -167,6 +174,8 @@ def _run_pssn(game: MatrixGame, config: HybridConfig,
         return HybridOutcome(profile, cert, STATUS_BUDGET, None, 0,
                              config.max_fo_iters, rows)
 
+    if ctx is None:
+        ctx = build_context(game, config.gamma)
     state = make_state(ctx, lift(ctx, profile), lam)
     steps, _, _ = drive_newton(ctx, state, scfg, scfg.max_newton_iters,
                                rows, t0, switch_iter)
@@ -204,7 +213,6 @@ def hpssn(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
     1e-15 report ``ssn_stalled``.
     """
     t0 = time.perf_counter()
-    ctx = build_context(game, config.gamma)
     scfg = config.ssn_config()
     row = RegretMatchingState.uniform(game.n)
     col = RegretMatchingState.uniform(game.m)
@@ -246,8 +254,9 @@ def hpssn(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
 
         # Newton probe episode from the lifted running average.
         probe_ref_gap = cert.gap
-        if switch_iter is None:
+        if switch_iter is None:  # first probe: build the context now
             switch_iter = t + extra_rows
+            ctx = build_context(game, config.gamma)
         state = make_state(ctx, lift(ctx, profile), lam)
         entry_norm = state.residual.norm
         steps, ep_cert, flag = drive_newton(ctx, state, scfg,

@@ -21,8 +21,9 @@ and Woodbury's identity reduces it to one capacitance system
 S = I + B' L_mu B of size kx + ky, with L_mu = M_mu^(-1) (gamma F - I).
 Every function of F here is diagonal on the singular pairs of the
 context's SVD (see splitting), so S costs three scaled products with
-the active rows of the SVD factors, O(min(n, m) (kx + ky)^2), and one
-LU factorization per trial; nothing of size n + m is factored.
+the active rows of the SVD factors, O(min(n, m) (kx + ky)^2), two of
+them symmetric rank-k products, and one LU factorization per trial
+through numpy's LAPACK; nothing of size n + m is factored.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .game import as_vector, project_simplex
 from .splitting import DrsContext, ResidualValue, apply_spectral, resolve
@@ -180,17 +180,22 @@ def newton_solve(jac: ResidualJacobian, mu: float,
     g = apply_spectral(ctx, s / t, 1.0 / (1.0 + mu), res.r)
     # S = I + B'L_mu B = mu/(1+mu) I + blockdiag(1 1'/k)/(1+mu) + the
     # pair part, whose (y, x) block is minus the transpose of (x, y).
+    # Re ell = mu (1 + 2 mu) w^2 / ((1 + mu) ((1 + mu)^2 + mu^2 w^2)) >= 0
+    # with w = gamma sigma, so each diagonal block is a Gram product W W'.
+    root = np.sqrt(ell.real)
     cap = np.empty((kx + ky, kx + ky))
-    cap[:kx, :kx] = (jac.left * ell.real) @ jac.left.T
+    w_left = jac.left * root
+    w_right = jac.right * root
+    cap[:kx, :kx] = w_left @ w_left.T
     cap[:kx, kx:] = (jac.left * ell.imag) @ jac.right.T
     cap[kx:, :kx] = -cap[:kx, kx:].T
-    cap[kx:, kx:] = (jac.right * ell.real) @ jac.right.T
+    cap[kx:, kx:] = w_right @ w_right.T
     cap[:kx, :kx] += 1.0 / ((1.0 + mu) * kx)
     cap[kx:, kx:] += 1.0 / ((1.0 + mu) * ky)
     cap[np.diag_indices_from(cap)] += mu / (1.0 + mu)
     try:
-        y = scipy.linalg.solve(cap, jac.gather(g))
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        y = np.linalg.solve(cap, jac.gather(g))
+    except np.linalg.LinAlgError as exc:
         raise LinearSolveError(f"Newton system solve failed: {exc}") from exc
     dz = apply_spectral(ctx, ell, -1.0 / (1.0 + mu), jac.scatter(y)) - g
     if not np.all(np.isfinite(dz)):

@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -319,6 +321,42 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "unknown method 'bogus'" in err
         assert "prm-li" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--target", "nan"], "--target must be positive and finite, got nan"),
+        (["--target", "inf", "--methods", "prm-qa"],
+         "--target must be positive and finite, got inf"),
+        (["--switch-threshold", "nan"],
+         "--switch-threshold must be finite and exceed --target, got nan"),
+        (["--switch-threshold", "inf"],
+         "--switch-threshold must be finite and exceed --target, got inf"),
+    ])
+    def test_non_finite_values_are_usage_errors(self, tmp_path, capsys, argv,
+                                                message):
+        out_dir = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            main(["--n", "5", "--m", "5"] + argv + ["--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+class TestStartUp:
+    def test_importing_the_cli_loads_neither_scipy_nor_a_process_pool(self):
+        # Both cost start-up time in every CLI process; the package runs
+        # on numpy alone, and only a pooled suite needs the pool.
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        probe = ("import sys, saddle_ssn, saddle_ssn.cli; print('\\n'.join("
+                 "sorted(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        loaded = done.stdout.split()
+        assert "saddle_ssn.cli" in loaded
+        assert [m for m in loaded
+                if m == "scipy" or m.startswith("scipy.")] == []
+        assert "concurrent.futures.process" not in loaded
 
 
 class TestSeedOffset:

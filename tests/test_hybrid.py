@@ -1,9 +1,12 @@
 """Tests for the hybrid first-order/Newton schedules."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import philox
+from saddle_ssn import hybrid
 from saddle_ssn.game import MatrixGame, duality_gap
 from saddle_ssn.hybrid import (
     STATUS_BUDGET,
@@ -44,6 +47,8 @@ class TestHybridConfig:
         {"target_gap": 1e-2, "switch_gap_threshold": 1e-2},
         {"target_gap": -1e-12},
         {"gamma": 0.0},
+        {"gamma": float("inf")},
+        {"gamma": float("nan")},
         {"theta_update_period": 0},
         {"max_fo_iters": 0},
         {"hpssn_probe_steps": 0},
@@ -237,6 +242,50 @@ class TestRunHybrid:
                                                     switch_gap_threshold=1e-1))
             assert outcome.certificate.gap \
                 == duality_gap(game, outcome.profile).gap
+
+
+class TestLazyContext:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+
+        def counting(game, gamma):
+            calls.append(gamma)
+            return build_context(game, gamma)
+
+        monkeypatch.setattr(hybrid, "build_context", counting)
+        return calls
+
+    def test_budget_exhausted_runs_never_build_the_context(self, builds):
+        game = uniform_game(0, n=20, m=20)
+        config = HybridConfig(switch_gap_threshold=1e-6, target_gap=1e-8,
+                              max_fo_iters=5, gap_check_period=1)
+        traces = []
+        for variant in ("pssn-v1", "hpssn"):
+            outcome = run_hybrid(game, replace(config, variant=variant))
+            assert outcome.status == STATUS_BUDGET
+            assert outcome.switch_iteration is None
+            traces.append(outcome.trace)
+        assert builds == []
+        # pssn-v2 builds its context up front for damping probes; its
+        # rows (timing aside) are those of the lazy variants.
+        tuned = run_hybrid(game, replace(config, variant="pssn-v2",
+                                         theta_update_period=10 ** 9))
+        assert builds == [1.0]
+        traces.append(tuned.trace)
+        untimed = [[(r.iteration, r.phase, r.gap, r.residual_norm, r.damping)
+                    for r in trace] for trace in traces]
+        assert len(untimed[0]) == 6
+        assert untimed[0] == untimed[1] == untimed[2]
+
+    @pytest.mark.parametrize("variant", ["pssn-v1", "hpssn"])
+    def test_a_newton_phase_builds_it_once(self, builds, variant):
+        outcome = run_hybrid(uniform_game(0, n=20, m=20),
+                             HybridConfig(variant=variant,
+                                          switch_gap_threshold=1e-1))
+        assert outcome.status == STATUS_CONVERGED
+        assert outcome.newton_steps > 0
+        assert builds == [1.0]
 
 
 class TestWarmStartQuality:

@@ -268,6 +268,19 @@ class TestNewtonSolve:
         with pytest.raises(LinearSolveError):
             newton_solve(bad, 1.0, res)
 
+    def test_translates_lapack_failures(self, monkeypatch):
+        ctx = make_ctx(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        jac = residual_jacobian(ctx, np.array([0.5, 0.5, 0.5, 0.5]))
+        res = residual(ctx, np.array([0.5, 0.5, 0.5, 0.5]))
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(LinearSolveError, match="Singular matrix") as exc:
+            newton_solve(jac, 1.0, res)
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
     def test_inverse_norm_respects_regularization_bound(self):
         rng = philox(69)
         for _ in range(20):
