@@ -3,46 +3,25 @@
 First-order regret matching drives the duality gap into the basin where
 a regularized semi-smooth Newton method on the Douglas-Rachford
 splitting residual takes over and converges superlinearly, certifying
-gaps near machine precision.  See the README for the benchmark CLI.
+gaps near machine precision.  The names exported here are the ones the
+README documents; everything else lives in the submodules.
 """
 
-from .baselines import FomConfig, FomResult, extragradient_run, ogda_run
-from .game import (GapCertificate, LiftedPoint, MatrixGame, StrategyProfile,
-                   duality_gap, estimate_spectral_norm, project_product,
-                   project_simplex, saddle_operator)
-from .hybrid import (HybridConfig, HybridOutcome, hpssn, pssn_v1, pssn_v2,
-                     run_hybrid)
-from .instances import (InstanceSpec, MatrixFileError, generate, load_matrix,
-                        save_matrix)
-from .jacobian import (LinearSolveError, ProjectionJacobian, ResidualJacobian,
-                       newton_solve, projection_jacobian, residual_jacobian)
-from .prm import (LOSS_IMMEDIATE, LOSS_ROUND_END, AverageAccumulator,
-                  PrmResult, RegretMatchingState, alternating_round,
-                  next_strategy, observe_loss, run_prm)
-from .splitting import (DrsContext, ResidualValue, apply_drs, build_context,
-                        lift, residual, resolve, restrict)
-from .ssn import (SsnConfig, SsnResult, SsnState, adaptive_lambda_update,
-                  line_search_accept, make_state, newton_step,
-                  semi_smooth_newton)
-from .trace import PHASE_FO, PHASE_SSN, TraceRow
+from .baselines import FomConfig, extragradient_run, ogda_run
+from .game import MatrixGame, StrategyProfile, duality_gap
+from .hybrid import HybridConfig, run_hybrid
+from .instances import InstanceSpec, generate, load_matrix, save_matrix
+from .prm import run_prm
+from .splitting import build_context, lift, restrict
+from .ssn import SsnConfig, drive_newton, make_state
+from .trace import TraceRow
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AverageAccumulator", "DrsContext", "FomConfig", "FomResult",
-    "GapCertificate", "HybridConfig", "HybridOutcome", "InstanceSpec",
-    "LOSS_IMMEDIATE", "LOSS_ROUND_END",
-    "LiftedPoint", "LinearSolveError", "MatrixFileError", "MatrixGame",
-    "PHASE_FO", "PHASE_SSN", "PrmResult", "ProjectionJacobian",
-    "RegretMatchingState", "ResidualJacobian", "ResidualValue", "SsnConfig",
-    "SsnResult", "SsnState", "StrategyProfile", "TraceRow",
-    "adaptive_lambda_update", "alternating_round", "apply_drs",
-    "build_context", "duality_gap", "estimate_spectral_norm",
-    "extragradient_run", "generate", "hpssn", "lift", "line_search_accept",
-    "load_matrix", "make_state", "newton_solve", "newton_step",
-    "next_strategy", "observe_loss", "ogda_run", "project_product",
-    "project_simplex", "projection_jacobian", "pssn_v1", "pssn_v2",
-    "residual", "residual_jacobian", "resolve", "restrict", "run_hybrid",
-    "run_prm", "saddle_operator", "save_matrix", "semi_smooth_newton",
-    "__version__",
+    "FomConfig", "HybridConfig", "InstanceSpec", "MatrixGame", "SsnConfig",
+    "StrategyProfile", "TraceRow", "build_context", "drive_newton",
+    "duality_gap", "extragradient_run", "generate", "lift", "load_matrix",
+    "make_state", "ogda_run", "restrict", "run_hybrid", "run_prm",
+    "save_matrix", "__version__",
 ]

@@ -2,22 +2,23 @@
 
 Both iterate on the stacked point z = (x, y) with the skew payoff
 operator F(z) = (Ay, -A'x) and blockwise simplex projection.  The
-default step size is 1 / (2 |A|_2), using the game's spectral norm
-estimate, which keeps both methods inside their convergence regime.
+default step size is 1 / (2 |A|_2), using a power-iteration estimate of
+the spectral norm taken when a run starts, which keeps both methods
+inside their convergence regime.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .game import MatrixGame, StrategyProfile, duality_gap, project_pair
+from .game import (MatrixGame, StrategyProfile, estimate_spectral_norm,
+                   project_pair)
+from .prm import (STATUS_BUDGET, STATUS_CONVERGED, FirstOrderResult,
+                  checkpoints)
 from .trace import PHASE_FO, TraceRow
-
-STATUS_CONVERGED = "converged"
-STATUS_BUDGET = "fo_budget_exhausted"
 
 
 @dataclass(frozen=True)
@@ -41,54 +42,39 @@ class FomConfig:
             raise ValueError("iteration budgets must be positive")
 
 
-@dataclass
-class FomResult:
-    """Outcome of a first-order baseline run."""
-
-    profile: StrategyProfile
-    status: str
-    iterations: int
-    trace: list[TraceRow] = field(default_factory=list)
-
-
 def _resolve_step(game: MatrixGame, config: FomConfig) -> float:
     if config.step_size is not None:
         return config.step_size
-    norm = game.spectral_norm_estimate
+    norm = estimate_spectral_norm(game.payoff)
     if norm <= 0.0:
         return 0.5
     return 1.0 / (2.0 * norm)
 
 
-def extragradient_run(game: MatrixGame, config: FomConfig,
-                      trace: list[TraceRow] | None = None,
-                      clock_start: float | None = None) -> FomResult:
+def extragradient_run(game: MatrixGame, config: FomConfig) -> FirstOrderResult:
     """Extragradient: probe a half step, then step through its operator.
 
         z_half = P(z - eta F(z));  z_next = P(z - eta F(z_half)).
 
     Two operator evaluations and two projections per iteration.
     """
-    return _run_fom(game, config, "eg", trace, clock_start)
+    return _run_fom(game, config, "eg")
 
 
-def ogda_run(game: MatrixGame, config: FomConfig,
-             trace: list[TraceRow] | None = None,
-             clock_start: float | None = None) -> FomResult:
+def ogda_run(game: MatrixGame, config: FomConfig) -> FirstOrderResult:
     """Optimistic gradient: reuse the previous operator as a predictor.
 
         z_next = P(z - 2 eta F(z) + eta F(z_prev)).
 
     One fresh operator evaluation and one projection per iteration.
     """
-    return _run_fom(game, config, "ogda", trace, clock_start)
+    return _run_fom(game, config, "ogda")
 
 
-def _run_fom(game: MatrixGame, config: FomConfig, kind: str,
-             trace: list[TraceRow] | None,
-             clock_start: float | None) -> FomResult:
-    t0 = time.perf_counter() if clock_start is None else clock_start
-    rows = [] if trace is None else trace
+def _run_fom(game: MatrixGame, config: FomConfig,
+             kind: str) -> FirstOrderResult:
+    t0 = time.perf_counter()
+    rows: list[TraceRow] = []
     eta = _resolve_step(game, config)
     a = game.payoff
     n = game.n
@@ -97,14 +83,10 @@ def _run_fom(game: MatrixGame, config: FomConfig, kind: str,
         return np.concatenate([a @ z[n:], -(z[:n] @ a)])
 
     z = StrategyProfile.uniform(game.n, game.m).concatenated()
-    cert = duality_gap(game, _profile_of(game, z))
-    rows.append(TraceRow(0, PHASE_FO, cert.gap,
-                         elapsed=time.perf_counter() - t0))
-    if cert.gap <= config.target_gap:
-        return FomResult(_profile_of(game, z), STATUS_CONVERGED, 0, rows)
-
     f_prev = operator(z)  # only consumed by the optimistic update
-    for t in range(1, config.max_iters + 1):
+
+    def advance(t: int) -> None:
+        nonlocal z, f_prev
         if kind == "eg":
             z_half = project_pair(n, z - eta * operator(z))
             z = project_pair(n, z - eta * operator(z_half))
@@ -112,15 +94,17 @@ def _run_fom(game: MatrixGame, config: FomConfig, kind: str,
             f_cur = operator(z)
             z = project_pair(n, z - 2.0 * eta * f_cur + eta * f_prev)
             f_prev = f_cur
-        if t % config.check_every == 0 or t == config.max_iters:
-            cert = duality_gap(game, _profile_of(game, z))
-            rows.append(TraceRow(t, PHASE_FO, cert.gap,
-                                 elapsed=time.perf_counter() - t0))
-            if cert.gap <= config.target_gap:
-                return FomResult(_profile_of(game, z), STATUS_CONVERGED,
-                                 t, rows)
-    return FomResult(_profile_of(game, z), STATUS_BUDGET,
-                     config.max_iters, rows)
+
+    # The uniform start is certified as the renormalized stacked vector,
+    # like every later iterate.
+    for t, profile, cert in checkpoints(
+            game, _profile_of(game, z), advance, lambda: _profile_of(game, z),
+            config.max_iters, config.check_every):
+        rows.append(TraceRow(t, PHASE_FO, cert.gap,
+                             elapsed=time.perf_counter() - t0))
+        if cert.gap <= config.target_gap:
+            return FirstOrderResult(profile, STATUS_CONVERGED, t, rows)
+    return FirstOrderResult(profile, STATUS_BUDGET, config.max_iters, rows)
 
 
 def _profile_of(game: MatrixGame, z: np.ndarray) -> StrategyProfile:

@@ -338,6 +338,8 @@ def main(argv: list[str] | None = None) -> int:
         args.seed_list = _parse_seeds(args.seeds)
     except ValueError as exc:
         parser.error(f"invalid --seeds: {exc}")
+    if not args.seed_list:
+        parser.error("no seeds given")
     args.method_list = [tok.strip() for tok in args.methods.split(",")
                         if tok.strip()]
     if not args.method_list:
@@ -346,6 +348,11 @@ def main(argv: list[str] | None = None) -> int:
         if method not in METHODS:
             parser.error(f"unknown method {method!r}; "
                          f"choose from {', '.join(METHODS)}")
+    # A repeated run would write the same run id twice.
+    for name, items in (("seed", args.seed_list),
+                        ("method", args.method_list)):
+        if len(set(items)) < len(items):
+            parser.error(f"a {name} is given twice in {items}")
     if args.kind == "file" and not args.path:
         parser.error("--kind file requires --path")
     if args.kind != "file" and (args.n < 1 or args.m < 1):
@@ -376,6 +383,11 @@ def main(argv: list[str] | None = None) -> int:
         args.seed_offset = int(raw_offset)
     except ValueError:
         parser.error(f"{SEED_OFFSET_ENV} must be an integer, got {raw_offset!r}")
+    lowest = min(args.seed_list) + args.seed_offset
+    if lowest < 0:
+        parser.error(f"seeds must be nonnegative, got {lowest} from "
+                     f"--seeds {args.seeds!r} and "
+                     f"{SEED_OFFSET_ENV}={args.seed_offset}")
     return run_suite(args)
 
 

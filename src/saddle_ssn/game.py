@@ -71,15 +71,12 @@ class MatrixGame:
     """A two-player zero-sum game given by its payoff matrix.
 
     The row player minimizes x'Ay over the n-simplex, the column player
-    maximizes over the m-simplex.  ``spectral_norm_estimate`` is a
-    power-iteration estimate of the matrix 2-norm, used for step sizes
-    and diagnostic bounds.
+    maximizes over the m-simplex.
     """
 
     payoff: np.ndarray
     n: int
     m: int
-    spectral_norm_estimate: float
 
     @classmethod
     def from_payoff(cls, payoff) -> "MatrixGame":
@@ -93,8 +90,7 @@ class MatrixGame:
             bad = np.argwhere(~np.isfinite(a))[0]
             raise ValueError(
                 f"payoff contains a non-finite entry at ({bad[0]}, {bad[1]})")
-        return cls(payoff=_freeze(a), n=n, m=m,
-                   spectral_norm_estimate=estimate_spectral_norm(a))
+        return cls(payoff=_freeze(a), n=n, m=m)
 
 
 @dataclass(frozen=True)
@@ -143,34 +139,12 @@ def _clean_strategy(v: np.ndarray, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LiftedPoint:
-    """An unconstrained point in R^(n+m) used by the splitting method."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        if z.ndim != 1:
-            raise ValueError("lifted point must be a vector")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("lifted point contains non-finite coordinates")
-        object.__setattr__(self, "z", _freeze(z))
-
-
-@dataclass(frozen=True)
 class GapCertificate:
     """Exact duality gap together with the optimal pure best responses."""
 
     gap: float
     best_response_row: int
     best_response_col: int
-
-
-def as_vector(z) -> np.ndarray:
-    """Unwrap a LiftedPoint or pass an array through."""
-    if isinstance(z, LiftedPoint):
-        return z.z
-    return np.asarray(z, dtype=float)
 
 
 def duality_gap(game: MatrixGame, profile: StrategyProfile) -> GapCertificate:
@@ -216,13 +190,13 @@ def project_simplex(p) -> np.ndarray:
 
 def project_pair(n: int, z) -> np.ndarray:
     """Blockwise simplex projection of a vector split at index n."""
-    z = as_vector(z)
+    z = np.asarray(z, dtype=float)
     return np.concatenate([project_simplex(z[:n]), project_simplex(z[n:])])
 
 
 def project_product(game: MatrixGame, z) -> StrategyProfile:
     """Project a lifted point onto the product of the two simplices."""
-    z = as_vector(z)
+    z = np.asarray(z, dtype=float)
     if z.shape[0] != game.n + game.m:
         raise ValueError(
             f"lifted point has dimension {z.shape[0]}, expected "
@@ -237,7 +211,7 @@ def saddle_operator(game: MatrixGame, z) -> np.ndarray:
     This is the simultaneous-gradient field of the bilinear saddle
     objective; it is linear and skew-symmetric, so z'Fz = 0 for all z.
     """
-    z = as_vector(z)
+    z = np.asarray(z, dtype=float)
     if z.shape[0] != game.n + game.m:
         raise ValueError(
             f"operator input has dimension {z.shape[0]}, expected "

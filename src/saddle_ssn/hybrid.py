@@ -27,14 +27,12 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .game import GapCertificate, MatrixGame, StrategyProfile, duality_gap
-from .prm import (AverageAccumulator, RegretMatchingState, alternating_round)
+from .prm import STATUS_BUDGET, STATUS_CONVERGED, checkpoints, regret_matching
 from .splitting import build_context, lift, restrict
 from .ssn import (FLAG_BUDGET, FLAG_TARGET, SsnConfig, adaptive_lambda_update,
                   drive_newton, make_state, newton_step)
 from .trace import PHASE_FO, TraceRow
 
-STATUS_CONVERGED = "converged"
-STATUS_BUDGET = "fo_budget_exhausted"
 STATUS_SSN_STALLED = "ssn_stalled"
 
 VARIANT_SWITCH = "pssn-v1"
@@ -139,41 +137,32 @@ def _run_pssn(game: MatrixGame, config: HybridConfig,
     # needs the context at the switch.
     ctx = build_context(game, config.gamma) if tuned else None
     scfg = config.ssn_config()
-    row = RegretMatchingState.uniform(game.n)
-    col = RegretMatchingState.uniform(game.m)
-    averager = AverageAccumulator.empty(game.n, game.m)
+    play, average = regret_matching(game, config.predictive)
     rows: list[TraceRow] = []
     lam = config.lambda0
 
-    profile = StrategyProfile.uniform(game.n, game.m)
-    cert = duality_gap(game, profile)
-    rows.append(TraceRow(0, PHASE_FO, cert.gap,
-                         elapsed=time.perf_counter() - t0))
-    if cert.gap <= config.target_gap:
-        return HybridOutcome(profile, cert, STATUS_CONVERGED, None, 0, 0, rows)
-
-    switch_iter = None
-    for t in range(1, config.max_fo_iters + 1):
-        x_new, y_new = alternating_round(game, row, col,
-                                         predictive=config.predictive)
-        averager.add(x_new, y_new, float(t) * float(t))
+    def advance(t: int) -> None:
+        nonlocal lam
+        play(t)
         if tuned and t % config.theta_update_period == 0:
-            lam = _tune_damping(ctx, averager.profile(), lam, scfg)
-        if t % config.gap_check_period == 0 or t == config.max_fo_iters:
-            profile = averager.profile()
-            cert = duality_gap(game, profile)
-            rows.append(TraceRow(t, PHASE_FO, cert.gap,
-                                 elapsed=time.perf_counter() - t0))
-            if cert.gap <= config.target_gap:
-                return HybridOutcome(profile, cert, STATUS_CONVERGED, None,
-                                     0, t, rows)
-            if cert.gap <= config.switch_gap_threshold:
-                switch_iter = t
-                break
-    if switch_iter is None:
+            lam = _tune_damping(ctx, average(), lam, scfg)
+
+    for t, profile, cert in checkpoints(
+            game, StrategyProfile.uniform(game.n, game.m), advance, average,
+            config.max_fo_iters, config.gap_check_period):
+        rows.append(TraceRow(t, PHASE_FO, cert.gap,
+                             elapsed=time.perf_counter() - t0))
+        if cert.gap <= config.target_gap:
+            return HybridOutcome(profile, cert, STATUS_CONVERGED, None, 0, t,
+                                 rows)
+        # The uniform start never switches, however small its gap.
+        if t > 0 and cert.gap <= config.switch_gap_threshold:
+            break
+    else:
         return HybridOutcome(profile, cert, STATUS_BUDGET, None, 0,
                              config.max_fo_iters, rows)
 
+    switch_iter = t
     if ctx is None:
         ctx = build_context(game, config.gamma)
     state = make_state(ctx, lift(ctx, profile), lam)
@@ -194,9 +183,8 @@ def _tune_damping(ctx, profile: StrategyProfile, lam: float,
     trial = newton_step(ctx, state, scfg)
     if trial is None:
         return lam
-    dz, cand = trial
-    return adaptive_lambda_update(state.residual.norm, cand.norm, dz, lam,
-                                  scfg)
+    _, cand = trial
+    return adaptive_lambda_update(state.residual.norm, cand.norm, lam, scfg)
 
 
 def hpssn(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
@@ -214,41 +202,28 @@ def hpssn(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
     """
     t0 = time.perf_counter()
     scfg = config.ssn_config()
-    row = RegretMatchingState.uniform(game.n)
-    col = RegretMatchingState.uniform(game.m)
-    averager = AverageAccumulator.empty(game.n, game.m)
+    advance, average = regret_matching(game, config.predictive)
     rows: list[TraceRow] = []
     lam = config.lambda0
     newton_total = 0
+    # Each Newton episode shifts the trace numbering of later rows.
     extra_rows = 0
     switch_iter = None
     prev_episode_gap = None
-
-    best = StrategyProfile.uniform(game.n, game.m)
-    best_cert = duality_gap(game, best)
-    rows.append(TraceRow(0, PHASE_FO, best_cert.gap,
-                         elapsed=time.perf_counter() - t0))
-    if best_cert.gap <= config.target_gap:
-        return HybridOutcome(best, best_cert, STATUS_CONVERGED, None, 0, 0,
-                             rows)
-    probe_ref_gap = best_cert.gap
-
-    for t in range(1, config.max_fo_iters + 1):
-        x_new, y_new = alternating_round(game, row, col,
-                                         predictive=config.predictive)
-        averager.add(x_new, y_new, float(t) * float(t))
-        if t % config.gap_check_period != 0 and t != config.max_fo_iters:
-            continue
-        profile = averager.profile()
-        cert = duality_gap(game, profile)
+    best = best_cert = None
+    for t, profile, cert in checkpoints(
+            game, StrategyProfile.uniform(game.n, game.m), advance, average,
+            config.max_fo_iters, config.gap_check_period):
         rows.append(TraceRow(t + extra_rows, PHASE_FO, cert.gap,
                              elapsed=time.perf_counter() - t0))
-        if cert.gap < best_cert.gap:
+        if best_cert is None or cert.gap < best_cert.gap:
             best, best_cert = profile, cert
         if cert.gap <= config.target_gap:
             return HybridOutcome(profile, cert, STATUS_CONVERGED,
                                  switch_iter, newton_total, t + extra_rows,
                                  rows)
+        if t == 0:
+            probe_ref_gap = cert.gap
         if cert.gap > probe_ref_gap / 2.0:
             continue
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import as_vector, project_simplex
+from .game import project_simplex
 from .splitting import DrsContext, ResidualValue, apply_spectral, resolve
 
 # Projection coordinates above this are treated as active.  The
@@ -66,7 +66,7 @@ def projection_jacobian(p, force_active=None) -> ProjectionJacobian:
     include, which selects a neighboring-piece element when the point
     sits beside a kink.
     """
-    x = project_simplex(as_vector(p))
+    x = project_simplex(p)
     mask = x > ACTIVATION_TOL
     if force_active is not None and len(force_active) > 0:
         mask[np.asarray(force_active, dtype=int)] = True
@@ -83,7 +83,7 @@ def boundary_margins(ctx: DrsContext, z) -> np.ndarray:
     of activating.  Small entries flag weakly active coordinates whose
     piece boundary passes right next to z.
     """
-    zv = as_vector(z)
+    zv = np.asarray(z, dtype=float)
     n = ctx.game.n
     out = np.full(zv.size, np.inf)
     for lo, hi in ((0, n), (n, zv.size)):
@@ -144,7 +144,7 @@ def residual_jacobian(ctx: DrsContext, z,
     kept.  ``force_active`` takes stacked coordinate indices to add to
     the active sets, selecting an element of a neighboring piece.
     """
-    zv = as_vector(z)
+    zv = np.asarray(z, dtype=float)
     n = ctx.game.n
     idx = np.asarray(tuple(force_active), dtype=int)
     rows = np.flatnonzero(projection_jacobian(zv[:n], idx[idx < n]).active_mask)

@@ -4,21 +4,25 @@ Each player keeps a clipped cumulative regret vector.  The next
 strategy is proportional to the positive part of the regrets shifted by
 a prediction of the coming loss (here: the previous observed loss); a
 zero regret vector falls back to uniform.  Updates alternate: the row
-player moves first, then the column player, and by default both losses
-for the round are measured against the opponent's end-of-round
-strategy, which keeps each prediction only one update stale.  Averaged
-output weights round t by t^2, which empirically tightens the gap by
-orders of magnitude over the last iterate.
+player moves first, then the column player, and both losses for the
+round are measured against the opponent's end-of-round strategy, which
+keeps each prediction only one update stale.  Averaged output weights
+round t by t^2, which empirically tightens the gap by orders of
+magnitude over the last iterate.
+
+``checkpoints`` is the one first-order checkpoint loop: regret
+matching, the gradient baselines and the hybrids all consume it.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import MatrixGame, StrategyProfile, duality_gap
+from .game import GapCertificate, MatrixGame, StrategyProfile, duality_gap
 from .trace import PHASE_FO, TraceRow
 
 STATUS_CONVERGED = "converged"
@@ -26,9 +30,6 @@ STATUS_BUDGET = "fo_budget_exhausted"
 
 SCHEME_LAST_ITERATE = "li"
 SCHEME_QUADRATIC_AVG = "qa"
-
-LOSS_ROUND_END = "round-end"
-LOSS_IMMEDIATE = "immediate"
 
 
 @dataclass
@@ -81,34 +82,22 @@ def observe_loss(state: RegretMatchingState, loss: np.ndarray,
 
 def alternating_round(game: MatrixGame, row: RegretMatchingState,
                       col: RegretMatchingState, predictive: bool = True,
-                      loss_timing: str = LOSS_ROUND_END,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """One alternating update of both players; mutates both states.
 
     The row player minimizes, so its loss vector is A y; the column
     player maximizes, so its loss is -A'x.  Strategies update in order
     (row first, then column), each predicting its previous observed
-    loss (zero when ``predictive`` is off).  With "round-end" timing
-    both losses are then measured against the opponent's updated
-    strategy, so predictions lag a single update; "immediate" timing
-    measures each loss the moment the player moves, so the row player
-    sees the column strategy from the previous round and predictions
-    lag a full round.  Round-end timing converges markedly faster and
-    is the default.
+    loss (zero when ``predictive`` is off).  Both losses are then
+    measured against the opponent's updated strategy, so predictions
+    lag a single update.
     """
     a = game.payoff
     x_new = next_strategy(row, row.last_loss if predictive
                           else np.zeros(game.n))
-    if loss_timing == LOSS_IMMEDIATE:
-        observe_loss(row, a @ col.current, x_new)
-        y_new = next_strategy(col, col.last_loss if predictive
-                              else np.zeros(game.m))
-    elif loss_timing == LOSS_ROUND_END:
-        y_new = next_strategy(col, col.last_loss if predictive
-                              else np.zeros(game.m))
-        observe_loss(row, a @ y_new, x_new)
-    else:
-        raise ValueError(f"unknown loss timing {loss_timing!r}")
+    y_new = next_strategy(col, col.last_loss if predictive
+                          else np.zeros(game.m))
+    observe_loss(row, a @ y_new, x_new)
     observe_loss(col, -(x_new @ a), y_new)
     return x_new, y_new
 
@@ -141,8 +130,8 @@ class AverageAccumulator:
 
 
 @dataclass
-class PrmResult:
-    """Outcome of a regret-matching run."""
+class FirstOrderResult:
+    """Outcome of a first-order run: regret matching or a baseline."""
 
     profile: StrategyProfile
     status: str
@@ -150,12 +139,57 @@ class PrmResult:
     trace: list[TraceRow] = field(default_factory=list)
 
 
+def regret_matching(game: MatrixGame, predictive: bool = True,
+                    averaging: bool = True
+                    ) -> tuple[Callable[[int], None],
+                               Callable[[], StrategyProfile]]:
+    """Alternating regret matching from uniform strategies.
+
+    Returns ``advance(t)``, which plays round t, and ``emitted()``, the
+    profile to certify: the average of the played strategies weighted
+    by t^2, or with ``averaging`` off the current iterates.
+    """
+    row = RegretMatchingState.uniform(game.n)
+    col = RegretMatchingState.uniform(game.m)
+    averager = AverageAccumulator.empty(game.n, game.m)
+
+    def advance(t: int) -> None:
+        x_new, y_new = alternating_round(game, row, col, predictive=predictive)
+        if averaging:
+            averager.add(x_new, y_new, float(t) * float(t))
+
+    def current() -> StrategyProfile:
+        return StrategyProfile.from_vectors(row.current, col.current)
+
+    return advance, averager.profile if averaging else current
+
+
+def checkpoints(game: MatrixGame, start: StrategyProfile,
+                advance: Callable[[int], None],
+                emitted: Callable[[], StrategyProfile], budget: int,
+                check_every: int
+                ) -> Iterator[tuple[int, StrategyProfile, GapCertificate]]:
+    """Run a first-order method and certify its output at checkpoints.
+
+    Yields ``(t, profile, certificate)`` for ``start`` at round 0, then
+    calls ``advance(t)`` for rounds t = 1..budget and yields the
+    ``emitted()`` profile with its exact duality gap every
+    ``check_every`` rounds and at round ``budget``.  The consumer
+    decides whether to stop; work it does between yields happens
+    between rounds.
+    """
+    yield 0, start, duality_gap(game, start)
+    for t in range(1, budget + 1):
+        advance(t)
+        if t % check_every == 0 or t == budget:
+            profile = emitted()
+            yield t, profile, duality_gap(game, profile)
+
+
 def run_prm(game: MatrixGame, scheme: str = SCHEME_QUADRATIC_AVG,
             max_iters: int = 500_000, target_gap: float = 1e-12,
-            check_every: int = 100, predictive: bool = True,
-            loss_timing: str = LOSS_ROUND_END,
-            trace: list[TraceRow] | None = None,
-            clock_start: float | None = None) -> PrmResult:
+            check_every: int = 100, predictive: bool = True
+            ) -> FirstOrderResult:
     """Run alternating regret matching until the target gap or budget.
 
     The emitted profile follows ``scheme``: "qa" averages post-update
@@ -167,33 +201,15 @@ def run_prm(game: MatrixGame, scheme: str = SCHEME_QUADRATIC_AVG,
         raise ValueError(f"unknown averaging scheme {scheme!r}")
     if check_every < 1:
         raise ValueError(f"check_every must be positive, got {check_every}")
-    t0 = time.perf_counter() if clock_start is None else clock_start
-    rows = [] if trace is None else trace
-    row = RegretMatchingState.uniform(game.n)
-    col = RegretMatchingState.uniform(game.m)
-    averager = AverageAccumulator.empty(game.n, game.m)
-    averaging = scheme == SCHEME_QUADRATIC_AVG
-
-    profile = StrategyProfile.uniform(game.n, game.m)
-    cert = duality_gap(game, profile)
-    rows.append(TraceRow(0, PHASE_FO, cert.gap,
-                         elapsed=time.perf_counter() - t0))
-    if cert.gap <= target_gap:
-        return PrmResult(profile, STATUS_CONVERGED, 0, rows)
-
-    for t in range(1, max_iters + 1):
-        x_new, y_new = alternating_round(game, row, col, predictive=predictive,
-                                         loss_timing=loss_timing)
-        if averaging:
-            averager.add(x_new, y_new, float(t) * float(t))
-        if t % check_every == 0 or t == max_iters:
-            if averaging:
-                profile = averager.profile()
-            else:
-                profile = StrategyProfile.from_vectors(x_new, y_new)
-            cert = duality_gap(game, profile)
-            rows.append(TraceRow(t, PHASE_FO, cert.gap,
-                                 elapsed=time.perf_counter() - t0))
-            if cert.gap <= target_gap:
-                return PrmResult(profile, STATUS_CONVERGED, t, rows)
-    return PrmResult(profile, STATUS_BUDGET, max_iters, rows)
+    t0 = time.perf_counter()
+    rows: list[TraceRow] = []
+    advance, emitted = regret_matching(game, predictive,
+                                       scheme == SCHEME_QUADRATIC_AVG)
+    for t, profile, cert in checkpoints(
+            game, StrategyProfile.uniform(game.n, game.m), advance, emitted,
+            max_iters, check_every):
+        rows.append(TraceRow(t, PHASE_FO, cert.gap,
+                             elapsed=time.perf_counter() - t0))
+        if cert.gap <= target_gap:
+            return FirstOrderResult(profile, STATUS_CONVERGED, t, rows)
+    return FirstOrderResult(profile, STATUS_BUDGET, max_iters, rows)

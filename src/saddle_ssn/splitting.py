@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import (LiftedPoint, MatrixGame, StrategyProfile, as_vector,
-                   project_pair, project_product, saddle_operator)
+from .game import (MatrixGame, StrategyProfile, project_pair, project_product,
+                   saddle_operator)
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,6 @@ def resolve(ctx: DrsContext, w: np.ndarray) -> np.ndarray:
     return apply_spectral(ctx, -s / (1.0 + s), 1.0, w)
 
 
-def apply_drs(ctx: DrsContext, z) -> LiftedPoint:
-    """One Douglas-Rachford step z -> z - P(z) + M^(-1)(2 P(z) - z)."""
-    zv = _checked(ctx, z)
-    p = project_pair(ctx.game.n, zv)
-    return LiftedPoint(zv - p + resolve(ctx, 2.0 * p - zv))
-
-
 @dataclass(frozen=True)
 class ResidualValue:
     """A splitting residual vector with its Euclidean norm cached."""
@@ -106,8 +99,9 @@ class ResidualValue:
 def residual(ctx: DrsContext, z) -> ResidualValue:
     """Displacement R(z) = z - T(z) = P(z) - M^(-1)(2 P(z) - z).
 
-    Zeros of R are the fixed points of the splitting step; the norm is
-    the convergence measure driven to zero by the Newton solver.
+    Zeros of R are the fixed points of the splitting step, which is
+    z - R(z); the norm is the convergence measure driven to zero by the
+    Newton solver.
     """
     zv = _checked(ctx, z)
     p = project_pair(ctx.game.n, zv)
@@ -115,23 +109,23 @@ def residual(ctx: DrsContext, z) -> ResidualValue:
     return ResidualValue(r=r, norm=float(np.linalg.norm(r)))
 
 
-def lift(ctx: DrsContext, profile: StrategyProfile) -> LiftedPoint:
+def lift(ctx: DrsContext, profile: StrategyProfile) -> np.ndarray:
     """Map a profile into the splitting space: z = v - gamma F(v).
 
     At an exact equilibrium the image is a fixed point of the splitting
     step, which is how first-order iterates warm-start the Newton phase.
     """
     v = profile.concatenated()
-    return LiftedPoint(v - ctx.gamma * saddle_operator(ctx.game, v))
+    return v - ctx.gamma * saddle_operator(ctx.game, v)
 
 
 def restrict(ctx: DrsContext, z) -> StrategyProfile:
     """Map a lifted point back to a feasible profile by projection."""
-    return project_product(ctx.game, as_vector(z))
+    return project_product(ctx.game, z)
 
 
 def _checked(ctx: DrsContext, z) -> np.ndarray:
-    zv = as_vector(z)
+    zv = np.asarray(z, dtype=float)
     d = ctx.game.n + ctx.game.m
     if zv.shape[0] != d:
         raise ValueError(f"point has dimension {zv.shape[0]}, expected {d}")

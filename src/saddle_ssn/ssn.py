@@ -29,19 +29,19 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GapCertificate, StrategyProfile, as_vector, duality_gap
+from .game import GapCertificate, duality_gap
 from .jacobian import (LinearSolveError, ResidualJacobian, boundary_margins,
                        newton_solve, residual_jacobian)
 from .splitting import DrsContext, ResidualValue, residual, restrict
 from .trace import PHASE_SSN, TraceRow
 
-STATUS_CONVERGED = "converged"
-STATUS_STALLED = "stalled"
-STATUS_MAX_ITERS = "max_iters"
+FLAG_TARGET = "target"
+FLAG_STALLED = "stalled"
+FLAG_BUDGET = "budget"
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,6 @@ class SsnState:
     # Bookkeeping from the last accepted line search, consumed by the
     # adaptive damping update and by diagnostics.
     prev_norm: float = math.nan
-    last_step: np.ndarray | None = None
     last_trials: int = 0
 
 
@@ -120,7 +119,7 @@ def make_state(ctx: DrsContext, z0, lambda0: float) -> SsnState:
     """Initialize solver state at a lifted point with starting damping."""
     if not np.isfinite(lambda0) or lambda0 <= 0.0:
         raise ValueError(f"initial damping must be positive, got {lambda0}")
-    z = as_vector(z0).copy()
+    z = np.array(z0, dtype=float)
     return SsnState(z=z, lam=float(lambda0), residual=residual(ctx, z))
 
 
@@ -171,15 +170,12 @@ def line_search_accept(ctx: DrsContext, state: SsnState,
         except LinearSolveError:
             lam *= config.ell
             continue
-        if step is None:
-            state.converged = True
-            return state
+        # Never None: the residual was checked above and is unchanged.
         dz, cand = step
         if cand.norm < state.residual.norm:
             state.prev_norm = state.residual.norm
             state.z = state.z + dz
             state.residual = cand
-            state.last_step = dz
             state.last_trials = trials
             state.lam = max(config.lambda_min, lam / config.ell)
             state.newton_steps_taken += 1
@@ -214,7 +210,7 @@ def basin_hop(ctx: DrsContext, state: SsnState, config: SsnConfig) -> bool:
     candidate leads anywhere better.
     """
     saved = (state.z.copy(), state.lam, state.residual, state.prev_norm,
-             state.last_step, state.newton_steps_taken)
+             state.newton_steps_taken)
     best = state.residual.norm
     margins = boundary_margins(ctx, state.z)
     order = np.argsort(margins, kind="stable")
@@ -248,27 +244,23 @@ def basin_hop(ctx: DrsContext, state: SsnState, config: SsnConfig) -> bool:
                 break
         if not state.stalled and state.residual.norm < best:
             return True
-        (z, lam, res, prev, last, taken) = saved
+        (z, lam, res, prev, taken) = saved
         state.z = z.copy()
         state.lam = lam
         state.residual = res
         state.prev_norm = prev
-        state.last_step = last
         state.newton_steps_taken = taken
         state.stalled = False
     return False
 
 
-def adaptive_lambda_update(prev_norm: float, new_norm: float,
-                           step: np.ndarray | None, lam: float,
-                           config: SsnConfig,
-                           psi: float | None = None) -> float:
+def adaptive_lambda_update(prev_norm: float, new_norm: float, lam: float,
+                           config: SsnConfig) -> float:
     """Post-acceptance damping schedule keyed to observed contraction.
 
-    psi defaults to prev_norm / new_norm (infinite when the new
-    residual is exactly zero); callers may pass an alternative quality
-    measure of the step.  Branches: psi >= alpha2 shrinks lambda by
-    sqrt(new_norm) clamped to the beta0 range, alpha1 <= psi < alpha2
+    The contraction is psi = prev_norm / new_norm (infinite when the new
+    residual is exactly zero).  Branches: psi >= alpha2 shrinks lambda
+    by sqrt(new_norm) clamped to the beta0 range, alpha1 <= psi < alpha2
     multiplies by beta1, psi < alpha1 multiplies by beta2.  The result
     always lies in [lambda_min, lambda_max].
     """
@@ -276,8 +268,7 @@ def adaptive_lambda_update(prev_norm: float, new_norm: float,
                       ("lambda", lam)):
         if not np.isfinite(val) or val < 0.0:
             raise ValueError(f"{name} must be finite and nonnegative, got {val}")
-    if psi is None:
-        psi = math.inf if new_norm == 0.0 else prev_norm / new_norm
+    psi = math.inf if new_norm == 0.0 else prev_norm / new_norm
     if psi >= config.alpha2:
         beta0 = min(max(math.sqrt(new_norm), config.beta0_floor),
                     config.beta0_ceil)
@@ -287,110 +278,64 @@ def adaptive_lambda_update(prev_norm: float, new_norm: float,
     return min(config.lambda_max, config.beta2 * lam)
 
 
-@dataclass
-class SsnResult:
-    """Outcome of a Newton run: profile, status, trace, final state."""
-
-    profile: StrategyProfile
-    certificate: GapCertificate
-    status: str
-    state: SsnState
-    trace: list[TraceRow] = field(default_factory=list)
-
-
-FLAG_TARGET = "target"
-FLAG_STALLED = "stalled"
-FLAG_BUDGET = "budget"
-
-
 def drive_newton(ctx: DrsContext, state: SsnState, config: SsnConfig,
-                 max_steps: int, rows: list[TraceRow],
-                 clock_start: float, start_iteration: int
+                 max_steps: int | None = None,
+                 rows: list[TraceRow] | None = None,
+                 clock_start: float | None = None, start_iteration: int = 0
                  ) -> tuple[int, GapCertificate, str]:
     """Run up to ``max_steps`` accepted Newton steps, tracing each.
 
-    Appends one entry row at the starting point and one row per
-    accepted step (gap of the projected iterate, residual norm, current
-    damping).  A stalled line search triggers one adaptive re-seed of
-    the damping followed by a retry; if the retry stalls too, the
-    borderline-coordinate escape is attempted once per accepted step.
-    The run ends when neither recovery commits a step.  Returns the
-    number of accepted steps, the last gap certificate, and a flag:
-    "target" when the gap certificate meets target_gap, "stalled" when
-    the line search gave up, "budget" when max_steps ran out.
+    Starts from a state built by ``make_state`` and advances it in place.
+    ``max_steps`` defaults to ``config.max_newton_iters``.  Appends to
+    ``rows``, if given, one entry row at the starting point and one row
+    per accepted step (gap of the projected iterate, residual norm,
+    current damping, seconds since ``clock_start``, which defaults to
+    the call); row iterations count on from ``start_iteration``.  A
+    stalled line search triggers one adaptive re-seed of the damping
+    followed by a retry; if the retry stalls too, the borderline-
+    coordinate escape is attempted once per accepted step.  The run
+    ends when neither recovery commits a step.  Returns the number of
+    accepted steps, the last gap certificate, and a flag: "target" when
+    the gap certificate meets target_gap, "stalled" when the line
+    search gave up, "budget" when max_steps ran out.
     """
-    iteration = start_iteration + 1
-    profile = restrict(ctx, state.z)
-    cert = duality_gap(ctx.game, profile)
-    rows.append(TraceRow(iteration, PHASE_SSN, cert.gap, state.residual.norm,
-                         state.lam, time.perf_counter() - clock_start))
-    if cert.gap <= config.target_gap:
-        state.converged = True
-        return 0, cert, FLAG_TARGET
+    t0 = time.perf_counter() if clock_start is None else clock_start
+    if max_steps is None:
+        max_steps = config.max_newton_iters
+    if rows is None:
+        rows = []
     steps = 0
     steps_at_recovery = -1
     steps_at_escape = -1
-    while steps < max_steps:
+    while True:
+        cert = duality_gap(ctx.game, restrict(ctx, state.z))
+        rows.append(TraceRow(start_iteration + 1 + steps, PHASE_SSN, cert.gap,
+                             state.residual.norm, state.lam,
+                             time.perf_counter() - t0))
+        if cert.gap <= config.target_gap:
+            state.converged = True
+            return steps, cert, FLAG_TARGET
+        if steps >= max_steps:
+            return steps, cert, FLAG_BUDGET
         line_search_accept(ctx, state, config)
-        if state.converged:
-            # Residual numerically zero: the projected point is an
-            # equilibrium up to roundoff; certify and stop.
-            profile = restrict(ctx, state.z)
-            cert = duality_gap(ctx.game, profile)
-            flag = (FLAG_TARGET if cert.gap <= config.target_gap
-                    else FLAG_STALLED)
-            return steps, cert, flag
-        if state.stalled:
+        while state.stalled:
             state.stalled = False
             if steps != steps_at_recovery and math.isfinite(state.prev_norm):
                 steps_at_recovery = steps
                 state.lam = adaptive_lambda_update(state.prev_norm,
                                                    state.residual.norm,
-                                                   state.last_step, state.lam,
-                                                   config)
+                                                   state.lam, config)
+                line_search_accept(ctx, state, config)
                 continue
             if steps == steps_at_escape or not basin_hop(ctx, state, config):
                 return steps, cert, FLAG_STALLED
+            # The escape committed one accepted step, or converged.
             steps_at_escape = steps
-            if state.converged:
-                profile = restrict(ctx, state.z)
-                cert = duality_gap(ctx.game, profile)
-                flag = (FLAG_TARGET if cert.gap <= config.target_gap
-                        else FLAG_STALLED)
-                return steps, cert, flag
-            # The escape committed one accepted step; record it below
-            # through the standard bookkeeping.
+        if state.converged:
+            # Residual numerically zero: the projected point is an
+            # equilibrium up to roundoff; certify and stop.
+            cert = duality_gap(ctx.game, restrict(ctx, state.z))
+            flag = (FLAG_TARGET if cert.gap <= config.target_gap
+                    else FLAG_STALLED)
+            return steps, cert, flag
         steps += 1
-        iteration += 1
-        profile = restrict(ctx, state.z)
-        cert = duality_gap(ctx.game, profile)
-        rows.append(TraceRow(iteration, PHASE_SSN, cert.gap,
-                             state.residual.norm, state.lam,
-                             time.perf_counter() - clock_start))
-        if cert.gap <= config.target_gap:
-            state.converged = True
-            return steps, cert, FLAG_TARGET
-    return steps, cert, FLAG_BUDGET
-
-
-def semi_smooth_newton(ctx: DrsContext, z0, lambda0: float,
-                       config: SsnConfig,
-                       trace: list[TraceRow] | None = None,
-                       clock_start: float | None = None,
-                       iteration_offset: int = 0) -> SsnResult:
-    """Drive the Newton iteration from a lifted point to the target gap.
-
-    Every accepted step appends a trace row with the exact duality gap
-    of the projected iterate, the residual norm, and the current
-    damping.  Terminates on gap <= target_gap (converged), a stalled
-    line search that a damping re-seed cannot revive, or the outer
-    iteration budget.
-    """
-    t0 = time.perf_counter() if clock_start is None else clock_start
-    state = make_state(ctx, z0, lambda0)
-    rows = [] if trace is None else trace
-    _, cert, flag = drive_newton(ctx, state, config, config.max_newton_iters,
-                                 rows, t0, iteration_offset)
-    status = {FLAG_TARGET: STATUS_CONVERGED, FLAG_STALLED: STATUS_STALLED,
-              FLAG_BUDGET: STATUS_MAX_ITERS}[flag]
-    return SsnResult(restrict(ctx, state.z), cert, status, state, rows)

@@ -11,7 +11,8 @@ from saddle_ssn.baselines import (
     extragradient_run,
     ogda_run,
 )
-from saddle_ssn.game import MatrixGame, StrategyProfile, duality_gap
+from saddle_ssn.game import (MatrixGame, StrategyProfile, duality_gap,
+                             estimate_spectral_norm)
 from saddle_ssn.trace import PHASE_FO
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -91,6 +92,19 @@ class TestBaselineRuns:
         result = method(game, FomConfig(max_iters=250, check_every=100,
                                         target_gap=-1.0))
         assert [row.iteration for row in result.trace] == [0, 100, 200, 250]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_default_step_is_half_the_inverse_spectral_norm(self, method):
+        rng = philox(96)
+        game = random_game(rng, 9, 6, kind="normal")
+        config = FomConfig(max_iters=300, check_every=100, target_gap=-1.0)
+        step = 1.0 / (2.0 * estimate_spectral_norm(game.payoff))
+        default = method(game, config)
+        explicit = method(game, FomConfig(max_iters=300, check_every=100,
+                                          target_gap=-1.0, step_size=step))
+        assert [row.gap for row in default.trace] \
+            == [row.gap for row in explicit.trace]
+        assert np.array_equal(default.profile.x, explicit.profile.x)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_runs_are_deterministic(self, method):

@@ -237,7 +237,7 @@ class TestDeterminism:
 
     def test_pooled_workers_match_serial_output(self, tmp_path):
         args = ["--kind", "uniform", "--n", "6", "--m", "5",
-                "--seeds", "0..1", "--methods", "eg,ogda",
+                "--seeds", "0..1", "--methods", ",".join(METHODS),
                 "--fo-budget", "2000"]
         rc1, dir1 = run_cli(tmp_path, "serial", args + ["--workers", "1"])
         rc2, dir2 = run_cli(tmp_path, "pooled", args + ["--workers", "2"])
@@ -246,6 +246,25 @@ class TestDeterminism:
         first = [strip(l) for l in read_lines(os.path.join(dir1, "runs.csv"))]
         second = [strip(l) for l in read_lines(os.path.join(dir2, "runs.csv"))]
         assert first == second
+
+
+class TestCheckpoints:
+    def test_every_first_order_loop_checks_the_same_rounds(self, tmp_path):
+        # The hybrids get a switch threshold they cannot reach in 250
+        # rounds, so they stay in their first-order phase throughout.
+        methods = [m for m in METHODS if m != "hpssn"]
+        rc, out_dir = run_cli(tmp_path, "cadence", [
+            "--n", "8", "--m", "8", "--seeds", "0",
+            "--methods", ",".join(methods), "--fo-budget", "250",
+            "--checkpoint-every", "70", "--target", "1e-300",
+            "--switch-threshold", "1e-299", "--workers", "1",
+        ])
+        assert rc == 0
+        rows = read_rows(os.path.join(out_dir, "runs.csv"))
+        for method in methods:
+            run = [r for r in rows if r["method"] == method]
+            assert [int(r["iteration"]) for r in run] == [0, 70, 140, 210, 250]
+            assert {r["phase"] for r in run} == {PHASE_FO}
 
 
 class TestFileInstances:
@@ -289,6 +308,10 @@ class TestUsageErrors:
         ["--target", "0.0"],
         ["--fo-budget", "0"],
         ["--checkpoint-every", "0"],
+        ["--seeds", "-1"],
+        ["--seeds", ""],
+        ["--seeds", "1,1"],
+        ["--methods", "pssn-v1,pssn-v1"],
     ])
     def test_bad_usage_exits_with_code_two(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -382,6 +405,17 @@ class TestSeedOffset:
         assert exc.value.code == 2
         assert "SADDLE_SSN_SEED_OFFSET must be an integer, got 'abc'" in \
             capsys.readouterr().err
+
+    def test_negative_shifted_seed_is_a_usage_error(self, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.setenv("SADDLE_SSN_SEED_OFFSET", "-3")
+        out_dir = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            main(["--n", "5", "--m", "5", "--methods", "eg",
+                  "--seeds", "2..4", "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert "seeds must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_offset_matches_directly_shifted_seeds(self, tmp_path, monkeypatch):
         base = ["--kind", "uniform", "--n", "5", "--m", "5",

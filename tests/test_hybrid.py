@@ -7,7 +7,7 @@ import pytest
 
 from helpers import philox
 from saddle_ssn import hybrid
-from saddle_ssn.game import MatrixGame, duality_gap
+from saddle_ssn.game import MatrixGame, duality_gap, estimate_spectral_norm
 from saddle_ssn.hybrid import (
     STATUS_BUDGET,
     STATUS_CONVERGED,
@@ -123,7 +123,7 @@ class TestPssnV1:
         outcome = pssn_v1(game, config)
         entry = ssn_rows(outcome.trace)[0]
         gap_at_switch = fo_rows(outcome.trace)[-1].gap
-        bound = 10.0 * (1.0 + config.gamma * game.spectral_norm_estimate) \
+        bound = 10.0 * (1.0 + config.gamma * estimate_spectral_norm(game.payoff)) \
             * np.sqrt(gap_at_switch)
         assert entry.residual_norm <= bound
 
@@ -297,5 +297,5 @@ class TestWarmStartQuality:
         fo = fo_rows(outcome.trace)
         assert fo[-1].gap <= 1e-3
         entry = ssn_rows(outcome.trace)[0]
-        bound = 10.0 * (1.0 + game.spectral_norm_estimate) * np.sqrt(fo[-1].gap)
+        bound = 10.0 * (1.0 + estimate_spectral_norm(game.payoff)) * np.sqrt(fo[-1].gap)
         assert entry.residual_norm <= bound

@@ -6,12 +6,9 @@ import pytest
 from helpers import philox, random_game
 from saddle_ssn.game import MatrixGame, StrategyProfile, duality_gap
 from saddle_ssn.prm import (
-    LOSS_IMMEDIATE,
-    LOSS_ROUND_END,
     STATUS_BUDGET,
     STATUS_CONVERGED,
     AverageAccumulator,
-    PrmResult,
     RegretMatchingState,
     alternating_round,
     next_strategy,
@@ -24,7 +21,7 @@ PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 TILTED = np.array([[1.2, -1.0], [-1.0, 1.0]])
 
 
-def reference_round(payoff, row, col, predictive, loss_timing):
+def reference_round(payoff, row, col, predictive):
     """Loop-based mirror of one alternating update, for cross-checking."""
     n, m = payoff.shape
 
@@ -47,12 +44,8 @@ def reference_round(payoff, row, col, predictive, loss_timing):
         state.current = played
 
     x_new = propose(row, n)
-    if loss_timing == LOSS_IMMEDIATE:
-        absorb(row, payoff @ col.current, x_new)
-        y_new = propose(col, m)
-    else:
-        y_new = propose(col, m)
-        absorb(row, payoff @ y_new, x_new)
+    y_new = propose(col, m)
+    absorb(row, payoff @ y_new, x_new)
     absorb(col, -(x_new @ payoff), y_new)
     return x_new, y_new
 
@@ -143,8 +136,7 @@ class TestAlternatingRound:
             assert np.array_equal(y_new, np.full(4, 0.25))
 
     @pytest.mark.parametrize("predictive", [True, False])
-    @pytest.mark.parametrize("timing", [LOSS_ROUND_END, LOSS_IMMEDIATE])
-    def test_matches_reference_loops(self, predictive, timing):
+    def test_matches_reference_loops(self, predictive):
         rng = philox(83)
         game = random_game(rng, 3, 4, kind="normal")
         row = RegretMatchingState.uniform(3)
@@ -152,21 +144,12 @@ class TestAlternatingRound:
         ref_row = RegretMatchingState.uniform(3)
         ref_col = RegretMatchingState.uniform(4)
         for _ in range(20):
-            got = alternating_round(game, row, col, predictive=predictive,
-                                    loss_timing=timing)
-            want = reference_round(game.payoff, ref_row, ref_col,
-                                   predictive, timing)
+            got = alternating_round(game, row, col, predictive=predictive)
+            want = reference_round(game.payoff, ref_row, ref_col, predictive)
             for a, b in zip(got, want):
                 assert np.allclose(a, b, atol=1e-12)
             assert np.allclose(row.cum_regret, ref_row.cum_regret, atol=1e-12)
             assert np.allclose(col.cum_regret, ref_col.cum_regret, atol=1e-12)
-
-    def test_rejects_unknown_timing(self):
-        game = MatrixGame.from_payoff(PENNIES)
-        with pytest.raises(ValueError):
-            alternating_round(game, RegretMatchingState.uniform(2),
-                              RegretMatchingState.uniform(2),
-                              loss_timing="afterwards")
 
     def test_regrets_stay_nonnegative_under_play(self):
         rng = philox(84)
@@ -297,20 +280,9 @@ class TestRunPrm:
             assert result.status == STATUS_CONVERGED
             assert duality_gap(game, result.profile).gap <= 1e-4
 
-    def test_round_end_timing_converges_where_immediate_plateaus(self):
+    def test_small_game_converges_within_a_thousand_rounds(self):
         rng = philox(90)
         game = random_game(rng, 10, 10)
-        round_end = run_prm(game, max_iters=20_000, target_gap=1e-3)
-        immediate = run_prm(game, max_iters=20_000, target_gap=1e-3,
-                            loss_timing=LOSS_IMMEDIATE)
-        assert round_end.status == STATUS_CONVERGED
-        assert round_end.iterations < 1000
-        gap = duality_gap(game, immediate.profile).gap
-        assert gap > 10.0 * 1e-3
-
-    def test_result_trace_reuses_caller_list(self):
-        game = MatrixGame.from_payoff(np.zeros((2, 2)))
-        rows = []
-        result = run_prm(game, trace=rows)
-        assert result.trace is rows
-        assert len(rows) == 1
+        result = run_prm(game, max_iters=20_000, target_gap=1e-3)
+        assert result.status == STATUS_CONVERGED
+        assert result.iterations < 1000

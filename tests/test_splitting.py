@@ -12,7 +12,6 @@ from saddle_ssn.game import (
     saddle_operator,
 )
 from saddle_ssn.splitting import (
-    apply_drs,
     build_context,
     lift,
     residual,
@@ -27,6 +26,11 @@ GAMMAS = (0.5, 1.0, 2.0)
 
 def make_ctx(payoff, gamma=1.0):
     return build_context(MatrixGame.from_payoff(payoff), gamma)
+
+
+def drs_step(ctx, z):
+    """The splitting step T(z) = z - R(z)."""
+    return z - residual(ctx, z).r
 
 
 class TestBuildContext:
@@ -113,7 +117,7 @@ class TestDrsStep:
     def test_zero_payoff_fixes_feasible_points(self):
         ctx = make_ctx(np.zeros((3, 4)))
         z = StrategyProfile.uniform(3, 4).concatenated()
-        assert np.array_equal(apply_drs(ctx, z).z, z)
+        assert np.array_equal(drs_step(ctx, z), z)
 
     def test_lifted_equilibria_are_fixed_points(self):
         cases = [
@@ -126,8 +130,8 @@ class TestDrsStep:
             for gamma in GAMMAS:
                 ctx = make_ctx(payoff, gamma)
                 z_star = lift(ctx, eq)
-                moved = apply_drs(ctx, z_star)
-                assert np.linalg.norm(moved.z - z_star.z) <= 1e-10
+                moved = drs_step(ctx, z_star)
+                assert np.linalg.norm(moved - z_star) <= 1e-10
                 assert residual(ctx, z_star).norm <= 1e-10
 
     def test_step_is_firmly_nonexpansive(self):
@@ -140,8 +144,8 @@ class TestDrsStep:
                 for _ in range(10):
                     z1 = rng.standard_normal(n + m) * 2
                     z2 = rng.standard_normal(n + m) * 2
-                    t1 = apply_drs(ctx, z1).z
-                    t2 = apply_drs(ctx, z2).z
+                    t1 = drs_step(ctx, z1)
+                    t2 = drs_step(ctx, z2)
                     lhs = np.linalg.norm(t1 - t2) ** 2
                     rhs = (z1 - z2) @ (t1 - t2)
                     assert lhs <= rhs + 1e-10
@@ -155,7 +159,7 @@ class TestResidual:
         for _ in range(20):
             z = rng.standard_normal(12) * 2
             res = residual(ctx, z)
-            assert np.allclose(res.r, z - apply_drs(ctx, z).z, atol=1e-13)
+            assert np.allclose(res.r, z - drs_step(ctx, z), atol=1e-13)
             assert res.norm == np.linalg.norm(res.r)
 
     def test_vanishes_for_zero_payoff_on_feasible_points(self):
@@ -209,7 +213,7 @@ class TestLiftRestrict:
     def test_lift_closed_form_on_single_entry_game(self):
         ctx = make_ctx(np.array([[1.0]]))
         prof = StrategyProfile.from_vectors(np.array([1.0]), np.array([1.0]))
-        assert np.array_equal(lift(ctx, prof).z, np.array([0.0, 2.0]))
+        assert np.array_equal(lift(ctx, prof), np.array([0.0, 2.0]))
 
     def test_lift_residual_tiny_at_equilibria(self):
         eq = StrategyProfile.from_vectors(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -222,7 +226,7 @@ class TestLiftRestrict:
         game = random_game(rng, 4, 6)
         ctx = build_context(game, 1e-12)
         prof = random_profile(rng, 4, 6)
-        assert np.linalg.norm(lift(ctx, prof).z - prof.concatenated()) <= 1e-10
+        assert np.linalg.norm(lift(ctx, prof) - prof.concatenated()) <= 1e-10
 
     def test_restrict_matches_blockwise_projection(self):
         rng = philox(50)
@@ -254,7 +258,7 @@ class TestLiftRestrict:
         rng = philox(52)
         ctx = make_ctx(DOMINANCE, 1.0)
         eq = StrategyProfile.from_vectors(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        z_star = lift(ctx, eq).z
+        z_star = lift(ctx, eq)
         d = rng.standard_normal(4)
         d /= np.linalg.norm(d)
         norm_bound = 1.0 + np.linalg.norm(DOMINANCE, 2)
@@ -271,4 +275,4 @@ class TestLiftRestrict:
         with pytest.raises(ValueError):
             residual(ctx, np.zeros(5))
         with pytest.raises(ValueError):
-            apply_drs(ctx, np.zeros(3))
+            residual(ctx, np.zeros(3))

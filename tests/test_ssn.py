@@ -7,18 +7,17 @@ import pytest
 
 from helpers import philox, random_game
 from saddle_ssn.game import MatrixGame, StrategyProfile, duality_gap
-from saddle_ssn.splitting import build_context, lift, residual
+from saddle_ssn.splitting import build_context, lift, residual, restrict
 from saddle_ssn.ssn import (
-    STATUS_CONVERGED,
-    STATUS_MAX_ITERS,
+    FLAG_BUDGET,
+    FLAG_TARGET,
     SsnConfig,
-    SsnState,
     adaptive_lambda_update,
     basin_hop,
+    drive_newton,
     line_search_accept,
     make_state,
     newton_step,
-    semi_smooth_newton,
 )
 from saddle_ssn.trace import PHASE_SSN
 
@@ -121,6 +120,7 @@ class TestLineSearch:
         state = make_state(ctx, near_uniform_start(ctx), 1.0)
         r0 = state.residual.norm
         z0 = state.z.copy()
+        first_trial, _ = newton_step(ctx, state, SsnConfig())
         out = line_search_accept(ctx, state, SsnConfig())
         assert out is state
         assert not state.stalled and not state.converged
@@ -129,7 +129,7 @@ class TestLineSearch:
         assert state.prev_norm == r0
         assert state.residual.norm < r0
         assert state.lam == max(1e-15, 1.0 / 1.5)
-        assert np.array_equal(z0 + state.last_step, state.z)
+        assert np.array_equal(z0 + first_trial, state.z)
 
     def test_retries_with_heavier_damping_after_rejection(self):
         ctx, state, config = rejection_prone_state()
@@ -178,42 +178,37 @@ class TestLineSearch:
 class TestAdaptiveDamping:
     def test_strong_contraction_shrinks_by_root_of_new_norm(self):
         cfg = SsnConfig()
-        out = adaptive_lambda_update(1.0, 0.1, None, 1.0, cfg)
+        out = adaptive_lambda_update(1.0, 0.1, 1.0, cfg)
         assert out == math.sqrt(0.1)
 
     def test_strong_contraction_clamps_to_floor(self):
         cfg = SsnConfig()
-        assert adaptive_lambda_update(1.0, 1e-6, None, 1.0, cfg) == 0.05
+        assert adaptive_lambda_update(1.0, 1e-6, 1.0, cfg) == 0.05
 
     def test_strong_contraction_clamps_to_ceiling(self):
         cfg = SsnConfig()
-        assert adaptive_lambda_update(20.0, 4.0, None, 1.0, cfg) == 0.9
+        assert adaptive_lambda_update(20.0, 4.0, 1.0, cfg) == 0.9
 
     def test_moderate_contraction_doubles(self):
         cfg = SsnConfig()
-        assert adaptive_lambda_update(1.0, 1.0, None, 3.0, cfg) == 6.0
+        assert adaptive_lambda_update(1.0, 1.0, 3.0, cfg) == 6.0
 
     def test_moderate_branch_includes_lower_threshold(self):
         cfg = SsnConfig()
-        assert adaptive_lambda_update(1.0, 100.0, None, 1.0, cfg) == 2.0
+        assert adaptive_lambda_update(1.0, 100.0, 1.0, cfg) == 2.0
 
     def test_poor_progress_inflates_by_beta2(self):
         cfg = SsnConfig()
-        assert adaptive_lambda_update(1.0, 500.0, None, 1.0, cfg) == 5.0
+        assert adaptive_lambda_update(1.0, 500.0, 1.0, cfg) == 5.0
 
     def test_result_clamped_into_hard_range(self):
         cfg = SsnConfig()
-        assert adaptive_lambda_update(1.0, 1000.0, None, 4e14, cfg) == 1e15
-        assert adaptive_lambda_update(10.0, 1.0, None, 1e-15, cfg) == 1e-15
-
-    def test_explicit_quality_measure_overrides_the_ratio(self):
-        cfg = SsnConfig()
-        out = adaptive_lambda_update(1.0, 1.0, None, 1.0, cfg, psi=7.0)
-        assert out == 0.9
+        assert adaptive_lambda_update(1.0, 1000.0, 4e14, cfg) == 1e15
+        assert adaptive_lambda_update(10.0, 1.0, 1e-15, cfg) == 1e-15
 
     def test_zero_new_norm_counts_as_infinite_contraction(self):
         cfg = SsnConfig()
-        assert adaptive_lambda_update(1.0, 0.0, None, 1.0, cfg) == 0.05
+        assert adaptive_lambda_update(1.0, 0.0, 1.0, cfg) == 0.05
 
     @pytest.mark.parametrize("args", [
         (-1.0, 1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, np.inf),
@@ -221,7 +216,7 @@ class TestAdaptiveDamping:
     def test_rejects_invalid_norms_or_damping(self, args):
         prev, new, lam = args
         with pytest.raises(ValueError):
-            adaptive_lambda_update(prev, new, None, lam, SsnConfig())
+            adaptive_lambda_update(prev, new, lam, SsnConfig())
 
 
 class TestBasinHop:
@@ -242,34 +237,40 @@ class TestBasinHop:
         assert basin_hop(ctx, state, config) is False
 
 
+def solve(ctx, z0, config, rows=None, start_iteration=0):
+    """The Newton phase on its own: make_state, then drive_newton."""
+    state = make_state(ctx, z0, 1.0)
+    _, cert, flag = drive_newton(ctx, state, config, rows=rows,
+                                 start_iteration=start_iteration)
+    return state, cert, flag
+
+
 class TestSolver:
     def test_certifies_zero_payoff_without_stepping(self):
         ctx = build_context(MatrixGame.from_payoff(np.zeros((3, 4))), 1.0)
         z0 = StrategyProfile.uniform(3, 4).concatenated()
-        result = semi_smooth_newton(ctx, z0, 1.0, SsnConfig())
-        assert result.status == STATUS_CONVERGED
-        assert result.certificate.gap == 0.0
-        assert result.state.newton_steps_taken == 0
-        assert len(result.trace) == 1
-        assert result.trace[0].phase == PHASE_SSN
+        rows = []
+        state, cert, flag = solve(ctx, z0, SsnConfig(), rows)
+        assert flag == FLAG_TARGET
+        assert cert.gap == 0.0
+        assert state.newton_steps_taken == 0
+        assert len(rows) == 1
+        assert rows[0].phase == PHASE_SSN
 
     def test_reaches_target_gap_on_small_game(self):
         ctx = pennies_ctx()
-        result = semi_smooth_newton(ctx, near_uniform_start(ctx), 1.0,
-                                    SsnConfig())
-        assert result.status == STATUS_CONVERGED
-        assert result.certificate.gap <= 1e-12
-        assert result.state.newton_steps_taken <= 10
-        recomputed = duality_gap(ctx.game, result.profile)
-        assert recomputed.gap == result.certificate.gap
+        state, cert, flag = solve(ctx, near_uniform_start(ctx), SsnConfig())
+        assert flag == FLAG_TARGET
+        assert cert.gap <= 1e-12
+        assert state.newton_steps_taken <= 10
+        recomputed = duality_gap(ctx.game, restrict(ctx, state.z))
+        assert recomputed.gap == cert.gap
 
     def test_trace_rows_are_consistent(self):
         ctx = pennies_ctx()
         trace = []
-        result = semi_smooth_newton(ctx, near_uniform_start(ctx), 1.0,
-                                    SsnConfig(), trace=trace,
-                                    iteration_offset=10)
-        assert result.trace is trace
+        solve(ctx, near_uniform_start(ctx), SsnConfig(), trace,
+              start_iteration=10)
         iters = [row.iteration for row in trace]
         assert iters == list(range(11, 11 + len(trace)))
         residuals = [row.residual_norm for row in trace]
@@ -281,20 +282,21 @@ class TestSolver:
 
     def test_stops_at_the_step_budget(self):
         ctx = pennies_ctx()
-        result = semi_smooth_newton(ctx, near_uniform_start(ctx), 1.0,
-                                    SsnConfig(max_newton_iters=1))
-        assert result.status == STATUS_MAX_ITERS
-        assert result.state.newton_steps_taken == 1
+        state, _, flag = solve(ctx, near_uniform_start(ctx),
+                               SsnConfig(max_newton_iters=1))
+        assert flag == FLAG_BUDGET
+        assert state.newton_steps_taken == 1
 
     def test_runs_are_deterministic(self):
         rng = philox(71)
         game = random_game(rng, 12, 9)
         ctx = build_context(game, 1.0)
         z0 = rng.standard_normal(21)
-        outs = [semi_smooth_newton(ctx, z0, 1.0, SsnConfig(max_newton_iters=40))
-                for _ in range(2)]
-        assert outs[0].status == outs[1].status
-        assert np.array_equal(outs[0].state.z, outs[1].state.z)
-        a, b = outs[0].trace, outs[1].trace
+        traces = [[], []]
+        outs = [solve(ctx, z0, SsnConfig(max_newton_iters=40), trace)
+                for trace in traces]
+        assert outs[0][2] == outs[1][2]
+        assert np.array_equal(outs[0][0].z, outs[1][0].z)
+        a, b = traces
         assert [(r.iteration, r.gap, r.residual_norm, r.damping) for r in a] \
             == [(r.iteration, r.gap, r.residual_norm, r.damping) for r in b]
