@@ -14,7 +14,8 @@ Outputs written to --out-dir:
   checkpoint crossing); the mean is left empty when no run reached it.
 * ``traces/<run-id>.csv``: the per-run trace, plus two plot-ready
   companions (gap against elapsed time, residual against iteration).
-* ``meta.json``: the fully resolved configuration.
+* ``meta.json``: the fully resolved configuration and the numeric
+  environment (numpy, BLAS, thread variables, usable CPUs).
 
 Exit status: 0 when all runs complete, 1 when any run fails internally
 (a failure row is still recorded), 2 for usage errors.
@@ -30,6 +31,8 @@ import sys
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .baselines import FomConfig, extragradient_run, ogda_run
 from .hybrid import HybridConfig, run_hybrid
 from .instances import InstanceSpec, generate
@@ -41,6 +44,7 @@ SEED_OFFSET_ENV = "SADDLE_SSN_SEED_OFFSET"
 METHODS = ("prm-li", "prm-qa", "eg", "ogda", "pssn-v1", "pssn-v2", "hpssn")
 HYBRID_METHODS = ("pssn-v1", "pssn-v2", "hpssn")
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TOLERANCES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 
 RUNS_HEADER = ("instance,seed,method,iteration,phase,duality_gap,"
@@ -220,6 +224,15 @@ def _default_workers() -> int:
         return os.cpu_count() or 1
 
 
+def _numeric_env() -> dict:
+    """numpy version, its BLAS build, BLAS thread variables, usable CPUs."""
+    blas = None
+    if np.lib.NumpyVersion(np.__version__) >= "1.26.0":  # has dict mode
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": blas, "cpus": _default_workers(),
+            "threads": {v: os.environ.get(v) for v in _THREAD_VARS}}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="saddle-ssn-bench",
@@ -318,6 +331,7 @@ def run_suite(args: argparse.Namespace) -> int:
         "statuses": {out.run_id: out.status for out in outputs},
         "failures": failures,
         "suite_wall_seconds": wall,
+        "numeric_env": _numeric_env(),
     }
     with open(os.path.join(args.out_dir, "meta.json"), "w",
               encoding="ascii") as fh:

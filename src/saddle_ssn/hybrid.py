@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 from .game import GapCertificate, MatrixGame, StrategyProfile, duality_gap
 from .prm import STATUS_BUDGET, STATUS_CONVERGED, checkpoints, regret_matching
-from .splitting import build_context, lift, restrict
+from .splitting import build_context, lift
 from .ssn import (FLAG_BUDGET, FLAG_TARGET, SsnConfig, adaptive_lambda_update,
                   drive_newton, make_state, newton_step)
 from .trace import PHASE_FO, TraceRow
@@ -83,10 +83,12 @@ class HybridConfig:
         if min(self.theta_update_period, self.max_fo_iters,
                self.hpssn_probe_steps, self.gap_check_period) < 1:
             raise ValueError("periods and budgets must be positive")
-        if self.hpssn_accept_factor <= 1.0:
-            raise ValueError("probe acceptance factor must exceed 1")
-        if self.lambda0 <= 0.0:
-            raise ValueError(f"initial damping must be positive, got {self.lambda0}")
+        if not 1.0 < self.hpssn_accept_factor < math.inf:
+            raise ValueError("probe acceptance factor must be finite and "
+                             f"exceed 1, got {self.hpssn_accept_factor}")
+        if not 0.0 < self.lambda0 < math.inf:
+            raise ValueError("initial damping must be positive and finite, "
+                             f"got {self.lambda0}")
 
     def ssn_config(self) -> SsnConfig:
         return replace(self.ssn if self.ssn is not None else SsnConfig(),
@@ -168,7 +170,7 @@ def _run_pssn(game: MatrixGame, config: HybridConfig,
     state = make_state(ctx, lift(ctx, profile), lam)
     steps, _, _ = drive_newton(ctx, state, scfg, scfg.max_newton_iters,
                                rows, t0, switch_iter)
-    final = restrict(ctx, state.z)
+    final = state.profile(ctx)
     cert = duality_gap(game, final)
     status = (STATUS_CONVERGED if cert.gap <= config.target_gap
               else STATUS_SSN_STALLED)
@@ -249,7 +251,7 @@ def hpssn(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
             extra_rows += more + 1
             newton_total += more
         lam = state.lam
-        episode_profile = restrict(ctx, state.z)
+        episode_profile = state.profile(ctx)
         ep_cert = duality_gap(game, episode_profile)
         if ep_cert.gap < best_cert.gap:
             best, best_cert = episode_profile, ep_cert

@@ -29,10 +29,11 @@ through numpy's LAPACK; nothing of size n + m is factored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .game import project_simplex
+from .game import project_pair, project_simplex
 from .splitting import DrsContext, ResidualValue, apply_spectral, resolve
 
 # Projection coordinates above this are treated as active.  The
@@ -111,20 +112,25 @@ class ResidualJacobian:
     left: np.ndarray
     right: np.ndarray
 
+    @cached_property
+    def index(self) -> np.ndarray:
+        """Both active sets as stacked coordinates of z."""
+        return np.concatenate([self.rows, self.ctx.game.n + self.cols])
+
+    def _center(self, v: np.ndarray) -> np.ndarray:
+        kx, ky = self.rows.size, self.cols.size
+        v[:kx] -= v[:kx].sum(axis=0) / kx
+        v[kx:] -= v[kx:].sum(axis=0) / ky
+        return v
+
     def gather(self, w: np.ndarray) -> np.ndarray:
         """B' w: the centered active entries of each block."""
-        n, kx = self.ctx.game.n, self.rows.size
-        out = np.concatenate([w[self.rows], w[n + self.cols]])
-        out[:kx] -= out[:kx].mean(axis=0)
-        out[kx:] -= out[kx:].mean(axis=0)
-        return out
+        return self._center(w[self.index])
 
     def scatter(self, s: np.ndarray) -> np.ndarray:
         """B s: center each block of s and scatter it onto its active set."""
-        n, kx = self.ctx.game.n, self.rows.size
-        out = np.zeros((n + self.ctx.game.m,) + s.shape[1:])
-        out[self.rows] = s[:kx] - s[:kx].mean(axis=0)
-        out[n + self.cols] = s[kx:] - s[kx:].mean(axis=0)
+        out = np.zeros((self.ctx.game.n + self.ctx.game.m,) + s.shape[1:])
+        out[self.index] = self._center(s.copy())
         return out
 
     @property
@@ -135,21 +141,21 @@ class ResidualJacobian:
         return d - resolve(self.ctx, 2.0 * d - eye)
 
 
-def residual_jacobian(ctx: DrsContext, z,
-                      force_active=()) -> ResidualJacobian:
+def residual_jacobian(ctx: DrsContext, z, force_active=(),
+                      res: ResidualValue | None = None) -> ResidualJacobian:
     """Generalized Jacobian of the residual at z, in active-set form.
 
     D is the block-diagonal projection Jacobian of both simplex blocks;
     only its active sets and the matching rows of the SVD factors are
-    kept.  ``force_active`` takes stacked coordinate indices to add to
-    the active sets, selecting an element of a neighboring piece.
+    kept, read from ``res.p`` when ``res`` is the residual at z.
+    ``force_active`` takes stacked coordinate indices to add to the
+    active sets, selecting an element of a neighboring piece.
     """
-    zv = np.asarray(z, dtype=float)
     n = ctx.game.n
-    idx = np.asarray(tuple(force_active), dtype=int)
-    rows = np.flatnonzero(projection_jacobian(zv[:n], idx[idx < n]).active_mask)
-    cols = np.flatnonzero(
-        projection_jacobian(zv[n:], idx[idx >= n] - n).active_mask)
+    p = res.p if res is not None and res.p is not None else project_pair(n, z)
+    mask = p > ACTIVATION_TOL
+    mask[np.asarray(tuple(force_active), dtype=int)] = True
+    rows, cols = np.flatnonzero(mask[:n]), np.flatnonzero(mask[n:])
     left = ctx.left[rows]
     right = ctx.right[cols]
     return ResidualJacobian(ctx, rows, cols, left - left.mean(axis=0),
@@ -174,10 +180,10 @@ def newton_solve(jac: ResidualJacobian, mu: float,
     # are (1 + s)/den and (s - 1)/den, den = (1 + mu) + mu s.  Each is
     # passed as its value at s = 0 plus the remainder, written so that
     # it vanishes exactly at sigma = 0.
-    s = 1j * ctx.gamma * ctx.sigma
+    s = ctx.spin
     t = (1.0 + mu) * ((1.0 + mu) + mu * s)
     ell = s * (1.0 + 2.0 * mu) / t
-    g = apply_spectral(ctx, s / t, 1.0 / (1.0 + mu), res.r)
+    g = apply_spectral(ctx, s / t, 1.0 / (1.0 + mu), res.r, res.coords(ctx))
     # S = I + B'L_mu B = mu/(1+mu) I + blockdiag(1 1'/k)/(1+mu) + the
     # pair part, whose (y, x) block is minus the transpose of (x, y).
     # Re ell = mu (1 + 2 mu) w^2 / ((1 + mu) ((1 + mu)^2 + mu^2 w^2)) >= 0
@@ -192,13 +198,13 @@ def newton_solve(jac: ResidualJacobian, mu: float,
     cap[kx:, kx:] = w_right @ w_right.T
     cap[:kx, :kx] += 1.0 / ((1.0 + mu) * kx)
     cap[kx:, kx:] += 1.0 / ((1.0 + mu) * ky)
-    cap[np.diag_indices_from(cap)] += mu / (1.0 + mu)
+    cap.reshape(-1)[::kx + ky + 1] += mu / (1.0 + mu)
     try:
         y = np.linalg.solve(cap, jac.gather(g))
     except np.linalg.LinAlgError as exc:
         raise LinearSolveError(f"Newton system solve failed: {exc}") from exc
     dz = apply_spectral(ctx, ell, -1.0 / (1.0 + mu), jac.scatter(y)) - g
-    if not np.all(np.isfinite(dz)):
+    if not np.isfinite(dz).all():
         raise LinearSolveError("Newton system produced non-finite step")
     d_dz = jac.scatter(jac.gather(dz))
     lhs = d_dz - resolve(ctx, 2.0 * d_dz - dz) + mu * dz

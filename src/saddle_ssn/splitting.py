@@ -25,7 +25,7 @@ Newton solves for every regularization (see jacobian).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +47,8 @@ class DrsContext:
     left: np.ndarray
     sigma: np.ndarray
     right: np.ndarray
+    spin: np.ndarray  # i gamma sigma: gamma F on each singular pair
+    resolvent: np.ndarray  # M^(-1) - I on each singular pair
 
 
 def build_context(game: MatrixGame, gamma: float) -> DrsContext:
@@ -58,21 +60,26 @@ def build_context(game: MatrixGame, gamma: float) -> DrsContext:
     if not np.isfinite(gamma) or gamma <= 0.0:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     left, sigma, right_t = np.linalg.svd(game.payoff, full_matrices=False)
+    spin = 1j * float(gamma) * sigma
     return DrsContext(game=game, gamma=float(gamma), left=left, sigma=sigma,
-                      right=np.ascontiguousarray(right_t.T))
+                      right=np.ascontiguousarray(right_t.T), spin=spin,
+                      resolvent=-spin / (1.0 + spin))
+
+
+def _coords(ctx: DrsContext, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return ctx.left.T @ w[:ctx.game.n], ctx.right.T @ w[ctx.game.n:]
 
 
 def apply_spectral(ctx: DrsContext, dev: np.ndarray, c0: float,
-                   w: np.ndarray) -> np.ndarray:
+                   w: np.ndarray, coords=None) -> np.ndarray:
     """Apply f(F) to w, where f(0) = c0 and f(i sigma_j) = c0 + dev[j].
 
     Accepts a vector of length n + m or a matrix with n + m rows.
+    ``coords`` optionally passes (U'w_x, V'w_y) already computed.
     """
-    n = ctx.game.n
     shape = (-1,) + (1,) * (w.ndim - 1)
     alpha, beta = dev.real.reshape(shape), dev.imag.reshape(shape)
-    a = ctx.left.T @ w[:n]
-    b = ctx.right.T @ w[n:]
+    a, b = _coords(ctx, w) if coords is None else coords
     return c0 * w + np.concatenate([ctx.left @ (alpha * a + beta * b),
                                     ctx.right @ (alpha * b - beta * a)])
 
@@ -84,16 +91,23 @@ def resolve(ctx: DrsContext, w: np.ndarray) -> np.ndarray:
     returns the solution with the same shape.  M^(-1) is 1/(1 + i gamma
     sigma_j) on each singular pair and the identity elsewhere.
     """
-    s = 1j * ctx.gamma * ctx.sigma
-    return apply_spectral(ctx, -s / (1.0 + s), 1.0, w)
+    return apply_spectral(ctx, ctx.resolvent, 1.0, w)
 
 
 @dataclass(frozen=True)
 class ResidualValue:
-    """A splitting residual vector with its Euclidean norm cached."""
+    """A residual vector, its norm, and the P(z) it came from (or None)."""
 
     r: np.ndarray
     norm: float
+    p: np.ndarray | None = None
+    _spectral: tuple | None = field(default=None, init=False, repr=False)
+
+    def coords(self, ctx: DrsContext) -> tuple[np.ndarray, np.ndarray]:
+        """(U'r_x, V'r_y) in ctx's SVD, computed on first use and kept."""
+        if self._spectral is None:
+            object.__setattr__(self, "_spectral", _coords(ctx, self.r))
+        return self._spectral
 
 
 def residual(ctx: DrsContext, z) -> ResidualValue:
@@ -106,7 +120,7 @@ def residual(ctx: DrsContext, z) -> ResidualValue:
     zv = _checked(ctx, z)
     p = project_pair(ctx.game.n, zv)
     r = p - resolve(ctx, 2.0 * p - zv)
-    return ResidualValue(r=r, norm=float(np.linalg.norm(r)))
+    return ResidualValue(r=r, norm=float(np.linalg.norm(r)), p=p)
 
 
 def lift(ctx: DrsContext, profile: StrategyProfile) -> np.ndarray:

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .game import GapCertificate, duality_gap
+from .game import GapCertificate, StrategyProfile, duality_gap
 from .jacobian import (LinearSolveError, ResidualJacobian, boundary_margins,
                        newton_solve, residual_jacobian)
 from .splitting import DrsContext, ResidualValue, residual, restrict
@@ -77,6 +77,8 @@ class SsnConfig:
     stall_hop_overshoot: float = 1e4
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError(f"Newton constants must be finite: {self}")
         if self.ell <= 1.0:
             raise ValueError(f"line-search ratio ell must exceed 1, got {self.ell}")
         if not 0.0 < self.lambda_min <= self.lambda_cap <= self.lambda_max:
@@ -114,6 +116,12 @@ class SsnState:
     prev_norm: float = math.nan
     last_trials: int = 0
 
+    def profile(self, ctx: DrsContext) -> StrategyProfile:
+        """The projected iterate, read from the residual's P(z) if kept."""
+        p, n = self.residual.p, ctx.game.n
+        return (restrict(ctx, self.z) if p is None
+                else StrategyProfile.from_vectors(p[:n], p[n:]))
+
 
 def make_state(ctx: DrsContext, z0, lambda0: float) -> SsnState:
     """Initialize solver state at a lifted point with starting damping."""
@@ -136,7 +144,7 @@ def newton_step(ctx: DrsContext, state: SsnState, config: SsnConfig,
     if state.residual.norm <= config.residual_zero_tol:
         return None
     if jac is None:
-        jac = residual_jacobian(ctx, state.z)
+        jac = residual_jacobian(ctx, state.z, res=state.residual)
     if lam is None:
         lam = state.lam
     mu = lam * state.residual.norm
@@ -159,7 +167,7 @@ def line_search_accept(ctx: DrsContext, state: SsnState,
     if state.residual.norm <= config.residual_zero_tol:
         state.converged = True
         return state
-    jac = residual_jacobian(ctx, state.z)
+    jac = residual_jacobian(ctx, state.z, res=state.residual)
     lam = state.lam
     trials = 0
     while (config.lambda_min <= lam <= config.lambda_cap
@@ -217,7 +225,7 @@ def basin_hop(ctx: DrsContext, state: SsnState, config: SsnConfig) -> bool:
     for i in order[:config.stall_activation_coords]:
         if not margins[i] <= config.stall_activation_cap:
             break
-        jac = residual_jacobian(ctx, state.z, force_active=(int(i),))
+        jac = residual_jacobian(ctx, state.z, (int(i),), state.residual)
         hop = None
         for rung in range(_HOP_RUNGS):
             lam = config.stall_entry_lambda * 10.0 ** rung
@@ -308,7 +316,7 @@ def drive_newton(ctx: DrsContext, state: SsnState, config: SsnConfig,
     steps_at_recovery = -1
     steps_at_escape = -1
     while True:
-        cert = duality_gap(ctx.game, restrict(ctx, state.z))
+        cert = duality_gap(ctx.game, state.profile(ctx))
         rows.append(TraceRow(start_iteration + 1 + steps, PHASE_SSN, cert.gap,
                              state.residual.norm, state.lam,
                              time.perf_counter() - t0))
@@ -334,7 +342,7 @@ def drive_newton(ctx: DrsContext, state: SsnState, config: SsnConfig,
         if state.converged:
             # Residual numerically zero: the projected point is an
             # equilibrium up to roundoff; certify and stop.
-            cert = duality_gap(ctx.game, restrict(ctx, state.z))
+            cert = duality_gap(ctx.game, state.profile(ctx))
             flag = (FLAG_TARGET if cert.gap <= config.target_gap
                     else FLAG_STALLED)
             return steps, cert, flag

@@ -215,6 +215,14 @@ class TestSuiteEndToEnd:
         assert meta["workers"] == 1
         assert meta["failures"] == {}
         assert meta["tolerances"] == list(TOLERANCES)
+        env = meta["numeric_env"]
+        assert env["numpy"] == np.__version__
+        assert set(env["threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["threads"]["OPENBLAS_NUM_THREADS"] == os.environ.get(
+            "OPENBLAS_NUM_THREADS")
+        assert env["cpus"] >= 1
+        assert env["blas"] is None or "name" in env["blas"]
         resolved = meta["switch_threshold_resolved"]
         assert set(resolved.values()) == {0.1}
         assert set(meta["statuses"]) == {

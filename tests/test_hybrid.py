@@ -55,6 +55,10 @@ class TestHybridConfig:
         {"gap_check_period": 0},
         {"hpssn_accept_factor": 1.0},
         {"lambda0": 0.0},
+        {"lambda0": float("nan")},
+        {"lambda0": float("inf")},
+        {"hpssn_accept_factor": float("nan")},
+        {"hpssn_accept_factor": float("inf")},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):

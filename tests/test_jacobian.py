@@ -295,3 +295,60 @@ class TestNewtonSolve:
             mu = float(10.0 ** rng.uniform(-3, 1))
             inv = np.linalg.inv(j + mu * np.eye(n + m))
             assert np.linalg.norm(inv, 2) <= 1.0 / mu + 1e-8
+
+
+def bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestStoredProjection:
+    """The Newton solver reads P(z) and U'r, V'r kept on a ResidualValue."""
+
+    @staticmethod
+    def assert_same_jacobian(a, b):
+        for name in ("rows", "cols", "left", "right"):
+            assert bits(getattr(a, name)) == bits(getattr(b, name))
+
+    def test_jacobian_matches_a_fresh_projection(self):
+        rng = philox(71)
+        ctx = build_context(random_game(rng, 7, 9, kind="normal"), 1.0)
+        for _ in range(20):
+            z = rng.standard_normal(16) * 1.5
+            res = residual(ctx, z)
+            self.assert_same_jacobian(residual_jacobian(ctx, z, res=res),
+                                      residual_jacobian(ctx, z))
+
+    def test_jacobian_matches_at_a_kink(self):
+        # Coordinates 2 and 4 sit exactly at their block thresholds.
+        ctx = make_ctx(np.array([[1.0, -1.0], [-0.5, 0.5], [0.25, 2.0]]))
+        z = np.array([0.5, 0.5, 0.0, 1.0, 0.0])
+        res = residual(ctx, z)
+        assert np.array_equal(res.p, [0.5, 0.5, 0.0, 1.0, 0.0])
+        self.assert_same_jacobian(residual_jacobian(ctx, z, res=res),
+                                  residual_jacobian(ctx, z))
+
+    def test_jacobian_matches_with_forced_coordinates(self):
+        rng = philox(72)
+        ctx = build_context(random_game(rng, 6, 8, kind="normal"), 1.0)
+        for _ in range(10):
+            z = rng.standard_normal(14) * 1.5
+            res = residual(ctx, z)
+            inactive = np.flatnonzero(res.p <= 0.0)
+            for force in ((), tuple(inactive[:1]), tuple(inactive[-2:])):
+                self.assert_same_jacobian(
+                    residual_jacobian(ctx, z, force, res),
+                    residual_jacobian(ctx, z, force_active=force))
+
+    def test_newton_solve_ignores_earlier_calls(self):
+        rng = philox(73)
+        ctx = build_context(random_game(rng, 8, 6, kind="normal"), 1.0)
+        z, other = rng.standard_normal(14), rng.standard_normal(14)
+        jac = residual_jacobian(ctx, z)
+        cold = newton_solve(jac, 0.1, residual(ctx, z))
+        res = residual(ctx, z)
+        newton_solve(jac, 10.0, res)
+        newton_solve(residual_jacobian(ctx, other), 0.1, residual(ctx, other))
+        warm = newton_solve(jac, 0.1, res)
+        by_hand = newton_solve(jac, 0.1, ResidualValue(r=res.r.copy(),
+                                                       norm=res.norm))
+        assert bits(cold) == bits(warm) == bits(by_hand)

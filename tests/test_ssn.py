@@ -1,12 +1,15 @@
 """Tests for the damped Newton iteration on the splitting residual."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from helpers import philox, random_game
-from saddle_ssn.game import MatrixGame, StrategyProfile, duality_gap
+import saddle_ssn.ssn as ssn_module
+from saddle_ssn.game import (MatrixGame, StrategyProfile, duality_gap,
+                             project_simplex)
 from saddle_ssn.splitting import build_context, lift, residual, restrict
 from saddle_ssn.ssn import (
     FLAG_BUDGET,
@@ -69,7 +72,10 @@ class TestSsnConfig:
         {"stall_entry_lambda": 0.0},
         {"stall_hop_probation": 0},
         {"stall_hop_overshoot": 0.5},
-    ])
+    ] + [{name: value} for name in (
+        "ell", "beta1", "beta2", "target_gap", "residual_zero_tol",
+        "stall_activation_cap", "stall_entry_lambda", "stall_hop_overshoot")
+        for value in (math.nan, math.inf)])
     def test_rejects_inconsistent_constants(self, kwargs):
         with pytest.raises(ValueError):
             SsnConfig(**kwargs)
@@ -173,6 +179,49 @@ class TestLineSearch:
         line_search_accept(ctx, state, SsnConfig())
         assert state.newton_steps_taken == 1
         assert state.lam == 1e-15
+
+
+@pytest.fixture
+def projections(monkeypatch):
+    """Count simplex projections made through any saddle_ssn module."""
+    calls = []
+
+    def counted(p):
+        calls.append(len(p))
+        return project_simplex(p)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("saddle_ssn")
+                and getattr(module, "project_simplex", None) is project_simplex):
+            monkeypatch.setattr(module, "project_simplex", counted)
+    return calls
+
+
+class TestProjectionCount:
+    def test_line_search_projects_once_per_block_and_trial(self, projections):
+        ctx, state, config = rejection_prone_state()
+        projections.clear()
+        line_search_accept(ctx, state, config)
+        assert state.last_trials == 2
+        assert len(projections) == 2 * state.last_trials
+
+    def test_newton_steps_add_no_projection(self, projections, monkeypatch):
+        rng = philox(74)
+        ctx = build_context(random_game(rng, 20, 20), 1.0)
+        state = make_state(ctx, lift(ctx, StrategyProfile.uniform(20, 20)),
+                           1.0)
+        trials = []
+
+        def search(ctx, state, config):
+            out = line_search_accept(ctx, state, config)
+            trials.append(state.last_trials)
+            return out
+
+        monkeypatch.setattr(ssn_module, "line_search_accept", search)
+        projections.clear()
+        steps, _, flag = drive_newton(ctx, state, SsnConfig(), max_steps=5)
+        assert (steps, flag) == (5, FLAG_BUDGET)
+        assert len(projections) == 2 * sum(trials)
 
 
 class TestAdaptiveDamping:
