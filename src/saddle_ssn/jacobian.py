@@ -58,19 +58,13 @@ class ProjectionJacobian:
         return np.diag(a) - np.outer(a, a) / a.sum()
 
 
-def projection_jacobian(p, force_active=None) -> ProjectionJacobian:
+def projection_jacobian(p) -> ProjectionJacobian:
     """Generalized Jacobian of project_simplex at p.
 
     The active set is read off the projection output itself; at least
     one coordinate is always active because the output sums to one.
-    ``force_active`` optionally lists extra coordinate indices to
-    include, which selects a neighboring-piece element when the point
-    sits beside a kink.
     """
-    x = project_simplex(p)
-    mask = x > ACTIVATION_TOL
-    if force_active is not None and len(force_active) > 0:
-        mask[np.asarray(force_active, dtype=int)] = True
+    mask = project_simplex(p) > ACTIVATION_TOL
     mask.setflags(write=False)
     return ProjectionJacobian(active_mask=mask)
 
@@ -141,20 +135,17 @@ class ResidualJacobian:
         return d - resolve(self.ctx, 2.0 * d - eye)
 
 
-def residual_jacobian(ctx: DrsContext, z, force_active=(),
+def residual_jacobian(ctx: DrsContext, z,
                       res: ResidualValue | None = None) -> ResidualJacobian:
     """Generalized Jacobian of the residual at z, in active-set form.
 
     D is the block-diagonal projection Jacobian of both simplex blocks;
     only its active sets and the matching rows of the SVD factors are
     kept, read from ``res.p`` when ``res`` is the residual at z.
-    ``force_active`` takes stacked coordinate indices to add to the
-    active sets, selecting an element of a neighboring piece.
     """
     n = ctx.game.n
     p = res.p if res is not None and res.p is not None else project_pair(n, z)
     mask = p > ACTIVATION_TOL
-    mask[np.asarray(tuple(force_active), dtype=int)] = True
     rows, cols = np.flatnonzero(mask[:n]), np.flatnonzero(mask[n:])
     left = ctx.left[rows]
     right = ctx.right[cols]

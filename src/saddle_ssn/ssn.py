@@ -16,27 +16,28 @@ search stalls, it re-seeds lambda once and the search retries.
 (Applying the schedule after every accepted step instead inflates
 lambda without bound on slowly contracting stretches and suffocates
 the iteration, so it is reserved for stalls.)  A stall that survives
-the re-seed is treated as the signature of a weakly active support
-coordinate: near-degenerate games can park the iterate at an interior
-local minimum of the residual norm whose affine piece has no root, in
-which case a checkpointed hop through a neighboring piece is tried
-(see basin_hop).  Termination is by exact duality gap of the projected
-iterate, not by residual norm, so the returned certificate is
-unconditional.
+the re-seed is the signature of supports one coordinate off those of
+an equilibrium: near-degenerate games can park the iterate at a local
+minimum of the residual norm whose affine piece has no root.  There an
+exact support crossover takes over (see basin_hop): it solves the
+small equalizing systems on the current supports and their one-swap
+neighbours, as LP crossover does after an interior or first-order
+method.  Termination is by exact duality gap of the projected iterate,
+not by residual norm, so the returned certificate is unconditional.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from .game import GapCertificate, StrategyProfile, duality_gap
 from .jacobian import (LinearSolveError, ResidualJacobian, boundary_margins,
                        newton_solve, residual_jacobian)
-from .splitting import DrsContext, ResidualValue, residual, restrict
+from .splitting import DrsContext, ResidualValue, lift, residual, restrict
 from .trace import PHASE_SSN, TraceRow
 
 FLAG_TARGET = "target"
@@ -70,11 +71,6 @@ class SsnConfig:
     target_gap: float = 1e-12
     max_line_search_trials: int = 60
     residual_zero_tol: float = 1e-14
-    stall_activation_coords: int = 8
-    stall_activation_cap: float = 1e-2
-    stall_entry_lambda: float = 1e-6
-    stall_hop_probation: int = 40
-    stall_hop_overshoot: float = 1e4
 
     def __post_init__(self):
         if not all(map(math.isfinite, astuple(self))):
@@ -91,14 +87,9 @@ class SsnConfig:
             raise ValueError("beta0 clamp must satisfy 0 < floor <= ceil < 1")
         if self.max_newton_iters < 1 or self.max_line_search_trials < 1:
             raise ValueError("iteration budgets must be at least 1")
-        if self.target_gap < 0.0:
-            raise ValueError("target gap must be nonnegative")
-        if self.stall_activation_coords < 0:
-            raise ValueError("stall activation candidate count must be >= 0")
-        if self.stall_activation_cap <= 0.0 or self.stall_entry_lambda <= 0.0:
-            raise ValueError("stall recovery constants must be positive")
-        if self.stall_hop_probation < 1 or self.stall_hop_overshoot < 1.0:
-            raise ValueError("hop probation must be >= 1 and overshoot >= 1")
+        if self.target_gap < 0.0 or self.residual_zero_tol < 0.0:
+            raise ValueError("target gap and residual zero tolerance must be "
+                             "nonnegative")
 
 
 @dataclass
@@ -194,71 +185,78 @@ def line_search_accept(ctx: DrsContext, state: SsnState,
     return state
 
 
-# The hop solve ladder spans stall_entry_lambda times 10^k, and the
-# probation after a hop restarts the line search from a light damping.
-_HOP_RUNGS = 7
-_HOP_PROBATION_LAMBDA = 1e-3
+# Coordinates of P(z) above this form the supports the crossover tries,
+# and at most this many support sets are solved per call.
+_SUPPORT_TOL = 1e-9
+_CROSSOVER_CANDIDATES = 64
+
+
+def _equalizer(a: np.ndarray) -> np.ndarray | None:
+    """The strategy w with 1'w = 1 that makes a w constant, clipped at 0.
+
+    Solves [a, -1; 1', 0] (w, v) = (0, 1), exactly when a is square and
+    in the least-squares sense otherwise.  Returns None when the solve
+    fails or leaves no positive mass.
+    """
+    k, l = a.shape
+    lhs = np.block([[a, -np.ones((k, 1))],
+                    [np.ones((1, l)), np.zeros((1, 1))]])
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    try:
+        sol = (np.linalg.solve(lhs, rhs) if k == l
+               else np.linalg.lstsq(lhs, rhs, rcond=None)[0])
+    except np.linalg.LinAlgError:
+        return None
+    w = np.maximum(sol[:l], 0.0)
+    total = w.sum()
+    return w / total if np.isfinite(total) and total > 0.0 else None
 
 
 def basin_hop(ctx: DrsContext, state: SsnState, config: SsnConfig) -> bool:
-    """Cross the ridge around a degenerate kink via a borderline piece.
+    """Finish a stalled run by an exact support crossover.
 
-    A hard stall is the signature of an equilibrium with a weakly
-    active support coordinate: the current piece pins that coordinate
-    at zero, its affine model has no root, and the residual norm sits
-    at an interior local minimum, so any path out must climb before it
-    can descend.  For each inactive coordinate near its block
-    threshold, this routine takes one Newton step with that coordinate
-    forced into the active set, commits it even though the residual
-    rises, and lets the ordinary line search run on probation from the
-    landing point.  The hop is kept as soon as the residual beats its
-    pre-hop value, which plants all later iterates in the root's
-    basin; otherwise the state is rolled back and the next candidate
-    tried.  Returns False, with the state exactly restored, when no
-    candidate leads anywhere better.
+    A stall on a near-degenerate game parks the iterate at a local
+    minimum of the residual norm whose supports are one coordinate off
+    those of an equilibrium.  This reads the supports S and T of P(z),
+    then tries (S, T) and its one-swap neighbours, nearest the piece
+    boundary first: a drop ranks by its entry of P(z), an add by its
+    ``boundary_margins`` entry.  Each candidate solves the two small
+    equalizing systems on A_ST and A_ST' (see ``_equalizer``), and only
+    the exact duality gap decides.  The first candidate at or below
+    ``target_gap`` moves the state to the lift of that profile, whose
+    kept P(z) is the profile itself, and returns True.  Returns False,
+    with the state untouched, when no candidate certifies.
     """
-    saved = (state.z.copy(), state.lam, state.residual, state.prev_norm,
-             state.newton_steps_taken)
-    best = state.residual.norm
+    game, n = ctx.game, ctx.game.n
+    p = state.profile(ctx).concatenated()
+    support = p > _SUPPORT_TOL
+    # Each coordinate's distance to its block threshold: its entry of
+    # P(z) where positive, its margin elsewhere.  Nearest flips first,
+    # but no drop may empty a player's support.
     margins = boundary_margins(ctx, state.z)
-    order = np.argsort(margins, kind="stable")
-    for i in order[:config.stall_activation_coords]:
-        if not margins[i] <= config.stall_activation_cap:
-            break
-        jac = residual_jacobian(ctx, state.z, (int(i),), state.residual)
-        hop = None
-        for rung in range(_HOP_RUNGS):
-            lam = config.stall_entry_lambda * 10.0 ** rung
-            try:
-                hop = newton_step(ctx, state, config, jac=jac, lam=lam)
-            except LinearSolveError:
-                continue
-            break
-        if hop is None:
+    order = np.argsort(np.where(np.isinf(margins), p, margins), kind="stable")
+    sizes = np.where(order < n, support[:n].sum(), support[n:].sum())
+    flips = [None, *order[~support[order] | (sizes > 1)]]
+    for flip in flips[:_CROSSOVER_CANDIDATES]:
+        mask = support.copy()
+        if flip is not None:
+            mask[flip] = not mask[flip]
+        rows, cols = np.flatnonzero(mask[:n]), np.flatnonzero(mask[n:])
+        block = game.payoff[np.ix_(rows, cols)]
+        y = _equalizer(block)
+        x = None if y is None else _equalizer(block.T)
+        if x is None:
             continue
-        dz, cand = hop
-        if cand.norm > config.stall_hop_overshoot * best:
-            # Landing point out of all proportion to the stall scale:
-            # this candidate models the wrong neighbor piece.
-            continue
-        state.z = state.z + dz
-        state.residual = cand
-        state.lam = _HOP_PROBATION_LAMBDA
-        for _ in range(config.stall_hop_probation):
-            line_search_accept(ctx, state, config)
-            if state.converged:
-                return True
-            if state.stalled or state.residual.norm < best:
-                break
-        if not state.stalled and state.residual.norm < best:
+        x_full, y_full = np.zeros(n), np.zeros(game.m)
+        x_full[rows], y_full[cols] = x, y
+        profile = StrategyProfile.from_vectors(x_full, y_full)
+        if duality_gap(game, profile).gap <= config.target_gap:
+            state.z = lift(ctx, profile)
+            state.residual = replace(residual(ctx, state.z),
+                                     p=profile.concatenated())
+            state.newton_steps_taken += 1
             return True
-        (z, lam, res, prev, taken) = saved
-        state.z = z.copy()
-        state.lam = lam
-        state.residual = res
-        state.prev_norm = prev
-        state.newton_steps_taken = taken
-        state.stalled = False
     return False
 
 
@@ -300,12 +298,14 @@ def drive_newton(ctx: DrsContext, state: SsnState, config: SsnConfig,
     current damping, seconds since ``clock_start``, which defaults to
     the call); row iterations count on from ``start_iteration``.  A
     stalled line search triggers one adaptive re-seed of the damping
-    followed by a retry; if the retry stalls too, the borderline-
-    coordinate escape is attempted once per accepted step.  The run
-    ends when neither recovery commits a step.  Returns the number of
-    accepted steps, the last gap certificate, and a flag: "target" when
-    the gap certificate meets target_gap, "stalled" when the line
-    search gave up, "budget" when max_steps ran out.
+    followed by a retry; if the retry stalls too, the support crossover
+    (``basin_hop``) is tried.  When it certifies, its exact profile
+    counts as one more step, and the loop top traces that row and ends
+    the run, so the last row's gap is the returned certificate;
+    otherwise the run ends stalled.  Returns the number of accepted
+    steps, the last gap certificate, and a flag: "target" when the gap
+    certificate meets target_gap, "stalled" when the line search gave
+    up, "budget" when max_steps ran out.
     """
     t0 = time.perf_counter() if clock_start is None else clock_start
     if max_steps is None:
@@ -314,7 +314,6 @@ def drive_newton(ctx: DrsContext, state: SsnState, config: SsnConfig,
         rows = []
     steps = 0
     steps_at_recovery = -1
-    steps_at_escape = -1
     while True:
         cert = duality_gap(ctx.game, state.profile(ctx))
         rows.append(TraceRow(start_iteration + 1 + steps, PHASE_SSN, cert.gap,
@@ -335,10 +334,10 @@ def drive_newton(ctx: DrsContext, state: SsnState, config: SsnConfig,
                                                    state.lam, config)
                 line_search_accept(ctx, state, config)
                 continue
-            if steps == steps_at_escape or not basin_hop(ctx, state, config):
+            if not basin_hop(ctx, state, config):
                 return steps, cert, FLAG_STALLED
-            # The escape committed one accepted step, or converged.
-            steps_at_escape = steps
+            # The crossover moved to a certified profile; the loop top
+            # traces it as one more step and ends the run.
         if state.converged:
             # Residual numerically zero: the projected point is an
             # equilibrium up to roundoff; certify and stop.

@@ -35,3 +35,27 @@ def brute_force_gap(payoff: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     best_col = max(sum(x[i] * payoff[i][j] for i in range(n)) for j in range(m))
     best_row = min(sum(payoff[i][j] * y[j] for j in range(m)) for i in range(n))
     return best_col - best_row
+
+
+def lp_value(payoff: np.ndarray) -> tuple[float, float]:
+    """Game value from scipy's HiGHS and the gap of its own strategies.
+
+    Solves min v s.t. A'x <= v 1, 1'x = 1, x >= 0; the column strategy
+    is read off the duals of the inequality rows.  The exact gap of the
+    clipped, renormalized LP pair bounds the error of the value.
+    """
+    from scipy.optimize import linprog
+
+    n, m = payoff.shape
+    cost = np.zeros(n + 1)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=np.hstack([payoff.T, -np.ones((m, 1))]),
+                  b_ub=np.zeros(m),
+                  A_eq=np.hstack([np.ones((1, n)), np.zeros((1, 1))]),
+                  b_eq=[1.0], bounds=[(0.0, None)] * n + [(None, None)],
+                  method="highs")
+    assert res.status == 0, res.message
+    x = np.maximum(res.x[:n], 0.0)
+    y = np.maximum(-res.ineqlin.marginals, 0.0)
+    x, y = x / x.sum(), y / y.sum()
+    return float(res.fun), float(np.max(x @ payoff) - np.min(payoff @ y))

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import philox
+from helpers import lp_value, philox
 from saddle_ssn import hybrid
 from saddle_ssn.game import MatrixGame, duality_gap, estimate_spectral_norm
 from saddle_ssn.hybrid import (
@@ -23,6 +23,7 @@ from saddle_ssn.ssn import SsnConfig
 from saddle_ssn.trace import PHASE_FO, PHASE_SSN
 
 TILTED = np.array([[1.2, -1.0], [-1.0, 1.0]])
+RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
 
 def uniform_game(seed, n=100, m=100):
@@ -222,6 +223,38 @@ class TestHpssn:
         outcome = hpssn(game, HybridConfig(variant="hpssn"))
         again = duality_gap(game, outcome.profile)
         assert again.gap == outcome.certificate.gap
+
+
+def stalling_games():
+    """Near-degenerate games whose Newton phase stalls one support swap
+    away from an equilibrium: rock-paper-scissors with a fourth column
+    close to the first, and a 30x30 game whose last row nearly repeats
+    its first."""
+    games = {f"rps{eps:+g}": np.column_stack([RPS, RPS[:, 0] + eps])
+             for eps in (1e-9, -1e-9, 1e-6)}
+    near_dup = philox(0).uniform(-1.0, 1.0, size=(30, 30))
+    near_dup[-1] = near_dup[0] + 1e-9
+    games["near-dup-rows"] = near_dup
+    return games
+
+
+class TestStalledNewtonRuns:
+    @pytest.mark.parametrize("variant", ["pssn-v1", "pssn-v2", "hpssn"])
+    @pytest.mark.parametrize("name", sorted(stalling_games()))
+    def test_support_crossover_certifies_the_stall(self, name, variant):
+        payoff = stalling_games()[name]
+        game = MatrixGame.from_payoff(payoff)
+        outcome = run_hybrid(game, HybridConfig(variant=variant,
+                                                max_fo_iters=10_000))
+        gap = outcome.certificate.gap
+        assert outcome.status == STATUS_CONVERGED
+        assert outcome.trace[-1].gap == gap == duality_gap(
+            game, outcome.profile).gap
+        assert gap <= 1e-12
+        value, width = lp_value(payoff)
+        x, y = outcome.profile.x, outcome.profile.y
+        slack = 8.0 * np.finfo(float).eps
+        assert abs(float(x @ payoff @ y) - value) <= gap + width + slack
 
 
 class TestRunHybrid:

@@ -74,19 +74,6 @@ class TestProjectionJacobian:
             assert np.abs(fd - g).max() <= 1e-6
             checked += 1
 
-    def test_force_active_adds_requested_coordinates(self):
-        jac = projection_jacobian(np.array([2.0, 0.0, 0.0]), force_active=[2])
-        assert np.array_equal(jac.active_mask, np.array([True, False, True]))
-        a = jac.active_mask.astype(float)
-        expected = np.diag(a) - np.outer(a, a) / 2.0
-        assert np.array_equal(jac.matrix(), expected)
-
-    def test_force_active_is_idempotent_on_active_coordinates(self):
-        p = np.array([0.3, 0.7])
-        plain = projection_jacobian(p)
-        forced = projection_jacobian(p, force_active=[0])
-        assert np.array_equal(plain.active_mask, forced.active_mask)
-
 
 class TestBoundaryMargins:
     def test_supported_coordinates_are_infinite(self):
@@ -161,39 +148,6 @@ class TestResidualJacobian:
                 sym = 0.5 * (j + j.T)
                 assert np.linalg.eigvalsh(sym).min() >= -1e-8
 
-    def test_force_active_selects_the_neighboring_piece(self):
-        rng = philox(66)
-        game = random_game(rng, 5, 5, kind="normal")
-        ctx = build_context(game, 1.0)
-        n = game.n
-        checked = 0
-        while checked < 5:
-            z = rng.standard_normal(10) * 1.5
-            margins = boundary_margins(ctx, z)
-            finite = np.isfinite(margins)
-            if not finite.any():
-                continue
-            idx = int(np.argmin(np.where(finite, margins, np.inf)))
-            nudged = z.copy()
-            nudged[idx] += margins[idx] + 1e-9
-            lo, hi = (0, n) if idx < n else (n, 10)
-            want = project_simplex(z[lo:hi]) > 0
-            want[idx - lo] = True
-            got = project_simplex(nudged[lo:hi]) > 0
-            if not np.array_equal(want, got):
-                continue
-            forced = residual_jacobian(ctx, z, force_active=(idx,))
-            neighbor = residual_jacobian(ctx, nudged)
-            assert np.array_equal(forced.matrix, neighbor.matrix)
-            checked += 1
-
-    def test_force_active_noop_for_already_active_coordinates(self):
-        ctx = make_ctx(np.zeros((2, 2)))
-        z = np.array([0.5, 0.5, 0.25, 0.75])
-        plain = residual_jacobian(ctx, z)
-        forced = residual_jacobian(ctx, z, force_active=(0, 2))
-        assert np.array_equal(plain.matrix, forced.matrix)
-
 
 class TestNewtonSolve:
     def test_diagonal_closed_form(self):
@@ -214,17 +168,14 @@ class TestNewtonSolve:
             ctx = build_context(game, gamma)
             for _ in range(8):
                 z = rng.standard_normal(n + m) * 1.5
-                margins = boundary_margins(ctx, z)
-                near = np.flatnonzero(np.isfinite(margins))
-                for force in ((), tuple(near[:1])):
-                    jac = residual_jacobian(ctx, z, force_active=force)
-                    res = residual(ctx, z)
-                    for mu in (1e-4, 1e-2, 1.0, 1e3):
-                        dz = newton_solve(jac, mu, res)
-                        ref = np.linalg.solve(
-                            jac.matrix + mu * np.eye(n + m), -res.r)
-                        worst = max(worst, np.linalg.norm(dz - ref)
-                                    / np.linalg.norm(ref))
+                jac = residual_jacobian(ctx, z)
+                res = residual(ctx, z)
+                for mu in (1e-4, 1e-2, 1.0, 1e3):
+                    dz = newton_solve(jac, mu, res)
+                    ref = np.linalg.solve(
+                        jac.matrix + mu * np.eye(n + m), -res.r)
+                    worst = max(worst, np.linalg.norm(dz - ref)
+                                / np.linalg.norm(ref))
         assert worst <= 1e-10
 
     def test_solves_the_regularized_system(self):
@@ -326,18 +277,6 @@ class TestStoredProjection:
         assert np.array_equal(res.p, [0.5, 0.5, 0.0, 1.0, 0.0])
         self.assert_same_jacobian(residual_jacobian(ctx, z, res=res),
                                   residual_jacobian(ctx, z))
-
-    def test_jacobian_matches_with_forced_coordinates(self):
-        rng = philox(72)
-        ctx = build_context(random_game(rng, 6, 8, kind="normal"), 1.0)
-        for _ in range(10):
-            z = rng.standard_normal(14) * 1.5
-            res = residual(ctx, z)
-            inactive = np.flatnonzero(res.p <= 0.0)
-            for force in ((), tuple(inactive[:1]), tuple(inactive[-2:])):
-                self.assert_same_jacobian(
-                    residual_jacobian(ctx, z, force, res),
-                    residual_jacobian(ctx, z, force_active=force))
 
     def test_newton_solve_ignores_earlier_calls(self):
         rng = philox(73)

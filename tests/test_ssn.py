@@ -25,6 +25,7 @@ from saddle_ssn.ssn import (
 from saddle_ssn.trace import PHASE_SSN
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
+RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
 
 def pennies_ctx():
@@ -67,14 +68,10 @@ class TestSsnConfig:
         {"max_newton_iters": 0},
         {"max_line_search_trials": 0},
         {"target_gap": -1e-9},
-        {"stall_activation_coords": -1},
-        {"stall_activation_cap": 0.0},
-        {"stall_entry_lambda": 0.0},
-        {"stall_hop_probation": 0},
-        {"stall_hop_overshoot": 0.5},
+        {"residual_zero_tol": -1.0},
     ] + [{name: value} for name in (
         "ell", "beta1", "beta2", "target_gap", "residual_zero_tol",
-        "stall_activation_cap", "stall_entry_lambda", "stall_hop_overshoot")
+        "lambda_min", "alpha1", "alpha2", "beta0_floor", "beta0_ceil")
         for value in (math.nan, math.inf)])
     def test_rejects_inconsistent_constants(self, kwargs):
         with pytest.raises(ValueError):
@@ -268,22 +265,51 @@ class TestAdaptiveDamping:
             adaptive_lambda_update(prev, new, lam, SsnConfig())
 
 
-class TestBasinHop:
-    def test_declines_without_borderline_candidates(self):
-        ctx = pennies_ctx()
-        z = StrategyProfile.uniform(2, 2).concatenated()
-        state = make_state(ctx, z, 1.0)
-        z0 = state.z.copy()
-        lam0 = state.lam
-        assert basin_hop(ctx, state, SsnConfig()) is False
-        assert np.array_equal(state.z, z0)
-        assert state.lam == lam0
-        assert state.newton_steps_taken == 0
+def stalled_state():
+    """Rock-paper-scissors plus a column 1e-9 above the first, left where
+    the line search stalls with both near-twin columns supported."""
+    payoff = np.column_stack([RPS, RPS[:, 0] + 1e-9])
+    ctx = build_context(MatrixGame.from_payoff(payoff), 1.0)
+    state = make_state(ctx, lift(ctx, StrategyProfile.uniform(3, 4)), 1.0)
+    while not (state.stalled or state.converged):
+        line_search_accept(ctx, state, SsnConfig())
+    assert state.stalled
+    state.stalled = False
+    return ctx, state
 
-    def test_respects_zero_candidate_budget(self):
+
+class TestBasinHop:
+    def test_crossover_certifies_a_stalled_state(self):
+        ctx, state = stalled_state()
+        assert np.count_nonzero(state.residual.p[3:]) == 4
+        steps = state.newton_steps_taken
+        assert basin_hop(ctx, state, SsnConfig()) is True
+        profile = state.profile(ctx)
+        assert duality_gap(ctx.game, profile).gap <= 1e-12
+        assert profile.y[0] == 0.0
+        assert np.allclose(profile.y, [0.0, 1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+        assert np.array_equal(state.residual.p, profile.concatenated())
+        assert np.array_equal(state.z, lift(ctx, profile))
+        assert state.residual.norm <= 1e-14
+        assert state.newton_steps_taken == steps + 1
+
+    def test_drive_newton_traces_the_certificate(self):
+        ctx, state = stalled_state()
+        rows = []
+        steps, cert, flag = drive_newton(ctx, state, SsnConfig(), rows=rows)
+        assert flag == FLAG_TARGET
+        assert rows[-1].gap == cert.gap <= 1e-12
+        assert len(rows) == steps + 1
+        assert cert == duality_gap(ctx.game, state.profile(ctx))
+
+    @pytest.mark.parametrize("target", [1e-12, 0.0])
+    def test_leaves_the_state_untouched_without_a_certificate(self, target):
         ctx, state, _ = rejection_prone_state()
-        config = SsnConfig(stall_activation_coords=0)
-        assert basin_hop(ctx, state, config) is False
+        z, lam, res = state.z.copy(), state.lam, state.residual
+        assert basin_hop(ctx, state, SsnConfig(target_gap=target)) is False
+        assert np.array_equal(state.z, z)
+        assert state.residual is res
+        assert (state.lam, state.newton_steps_taken) == (lam, 0)
 
 
 def solve(ctx, z0, config, rows=None, start_iteration=0):
