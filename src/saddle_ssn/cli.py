@@ -58,7 +58,7 @@ class RunSpec:
 
     spec: InstanceSpec
     method: str
-    gamma: float
+    gamma: float | None
     switch_threshold: float
     target: float
     fo_budget: int
@@ -250,9 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inclusive range a..b or comma list (default: 0..9)")
     p.add_argument("--methods", default="prm-qa,pssn-v1",
                    help=f"comma list from {', '.join(METHODS)}")
-    p.add_argument("--gamma", type=float, default=1.0,
+    p.add_argument("--gamma", type=float, default=None,
                    help="splitting parameter of the Newton phase "
-                        "(default: 1.0)")
+                        "(default: 3 / the payoff's largest singular "
+                        "value)")
     p.add_argument("--switch-threshold", type=float, default=None,
                    help="gap at which hybrids hand over to Newton "
                         "(default: by instance family and size)")
@@ -371,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--kind file requires --path")
     if args.kind != "file" and (args.n < 1 or args.m < 1):
         parser.error("--n and --m must be positive")
-    if args.gamma <= 0.0 or not math.isfinite(args.gamma):
+    if args.gamma is not None and not 0.0 < args.gamma < math.inf:
         parser.error("--gamma must be positive")
     if not 0.0 < args.target < math.inf:
         parser.error(f"--target must be positive and finite, got {args.target}")

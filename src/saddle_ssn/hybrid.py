@@ -50,14 +50,16 @@ class HybridConfig:
     ``switch_gap_threshold`` hands over to Newton (v1/v2) or arms the
     first probe comparison (hpssn, via gap halving).  ``gap_check_period``
     is the first-order checkpoint cadence; exact gaps are only computed
-    at checkpoints.  ``ssn`` optionally overrides the Newton constants;
-    its target gap is always replaced by ``target_gap``.
+    at checkpoints.  ``gamma`` is the splitting parameter; None scales
+    it to the payoff (see ``build_context``).  ``ssn`` optionally
+    overrides the Newton constants; its target gap is always replaced
+    by ``target_gap``.
     """
 
     switch_gap_threshold: float = 1e-2
     theta_update_period: int = 500
     variant: str = VARIANT_SWITCH
-    gamma: float = 1.0
+    gamma: float | None = None
     target_gap: float = 1e-12
     max_fo_iters: int = 500_000
     hpssn_probe_steps: int = 5
@@ -77,7 +79,7 @@ class HybridConfig:
                 f"threshold {self.switch_gap_threshold}")
         # Checked here in full, since the context that would also reject
         # it is built only when Newton work starts.
-        if not 0.0 < self.gamma < math.inf:
+        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
             raise ValueError(
                 f"gamma must be positive and finite, got {self.gamma}")
         if min(self.theta_update_period, self.max_fo_iters,

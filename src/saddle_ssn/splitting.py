@@ -21,6 +21,15 @@ function f(F) is thus fixed by the scalars f(i sigma_i) and f(0), and
 costs four products with the factors.  The SVD is computed once per
 context and serves the resolvent for every right-hand side and the
 Newton solves for every regularization (see jacobian).
+
+gamma is measured in the payoff's units: scaling A by c and gamma by
+1/c leaves P, the lifted points and every iterate unchanged.  The
+default gamma = 3 / sigma_max ties it to the payoff's scale, as the
+metric-selection analysis of Douglas-Rachford splitting advises
+(Giselsson and Boyd, IEEE TAC 62(2), 2017), so a run takes the same
+steps on A and on 4A, and the Newton systems, which are multiplied by
+M, have cond(M) = sqrt(1 + gamma^2 sigma_max^2) = sqrt(10) on every
+game.
 """
 
 from __future__ import annotations
@@ -32,14 +41,20 @@ import numpy as np
 from .game import (MatrixGame, StrategyProfile, project_pair, project_product,
                    saddle_operator)
 
+# gamma * sigma_max under the default splitting parameter.  Step counts
+# were flat (within about 10%) for products from 2 to 5 on normal and
+# uniform hybrids of 30x30 to 50x200, and all beat gamma = 1 there.
+_GAMMA_SIGMA_MAX = 3.0
+
 
 @dataclass(frozen=True)
 class DrsContext:
     """A game, a splitting parameter, and the thin SVD of the payoff.
 
     ``left`` (n x r), ``sigma`` (r) and ``right`` (m x r) satisfy
-    A = left diag(sigma) right' with r = min(n, m).  Immutable; safe to
-    share across threads and solver phases.
+    A = left diag(sigma) right' with r = min(n, m).  ``gamma`` is the
+    resolved splitting parameter, never None.  Immutable; safe to share
+    across threads and solver phases.
     """
 
     game: MatrixGame
@@ -51,15 +66,20 @@ class DrsContext:
     resolvent: np.ndarray  # M^(-1) - I on each singular pair
 
 
-def build_context(game: MatrixGame, gamma: float) -> DrsContext:
+def build_context(game: MatrixGame, gamma: float | None = None) -> DrsContext:
     """Take the thin SVD of the payoff once for every later solve.
 
     Cost is one dense SVD of the n x m payoff; every later application
-    of a function of F is four products with the factors.
+    of a function of F is four products with the factors.  ``gamma``
+    None, the default, resolves to 3 / sigma_max(A) (1 for a zero
+    payoff), read from that SVD; the resolved value is ``ctx.gamma``.
     """
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     left, sigma, right_t = np.linalg.svd(game.payoff, full_matrices=False)
+    if gamma is None:
+        gamma = _GAMMA_SIGMA_MAX / sigma[0] if sigma[0] > 0.0 else 1.0
+    # Checked after resolving: a subnormal sigma_max overflows 3 / sigma.
+    if not 0.0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     spin = 1j * float(gamma) * sigma
     return DrsContext(game=game, gamma=float(gamma), left=left, sigma=sigma,
                       right=np.ascontiguousarray(right_t.T), spin=spin,

@@ -16,18 +16,20 @@ search stalls, it re-seeds lambda once and the search retries.
 (Applying the schedule after every accepted step instead inflates
 lambda without bound on slowly contracting stretches and suffocates
 the iteration, so it is reserved for stalls.)  A stall that survives
-the re-seed is the signature of supports one coordinate off those of
-an equilibrium: near-degenerate games can park the iterate at a local
-minimum of the residual norm whose affine piece has no root.  There an
-exact support crossover takes over (see basin_hop): it solves the
-small equalizing systems on the current supports and their one-swap
-neighbours, as LP crossover does after an interior or first-order
-method.  Termination is by exact duality gap of the projected iterate,
-not by residual norm, so the returned certificate is unconditional.
+the re-seed is the signature of supports a coordinate or two off those
+of an equilibrium: near-degenerate games can park the iterate at a
+local minimum of the residual norm whose affine piece has no root.
+There an exact support crossover takes over (see basin_hop): it solves
+the small equalizing systems on the current supports, their one-swap
+neighbours and, failing those, same-player exchanges, as LP crossover
+does after an interior or first-order method.  Termination is by exact
+duality gap of the projected iterate, not by residual norm, so the
+returned certificate is unconditional.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import astuple, dataclass, replace
@@ -185,10 +187,13 @@ def line_search_accept(ctx: DrsContext, state: SsnState,
     return state
 
 
-# Coordinates of P(z) above this form the supports the crossover tries,
-# and at most this many support sets are solved per call.
+# Coordinates of P(z) above this form the supports the crossover tries.
+# At most _CROSSOVER_CANDIDATES support sets (the supports and their
+# one-swap neighbours) are solved per call, and then, only if none
+# certifies, at most _EXCHANGE_CANDIDATES exchanges.
 _SUPPORT_TOL = 1e-9
 _CROSSOVER_CANDIDATES = 64
+_EXCHANGE_CANDIDATES = 64
 
 
 def _equalizer(a: np.ndarray) -> np.ndarray | None:
@@ -217,13 +222,17 @@ def basin_hop(ctx: DrsContext, state: SsnState, config: SsnConfig) -> bool:
     """Finish a stalled run by an exact support crossover.
 
     A stall on a near-degenerate game parks the iterate at a local
-    minimum of the residual norm whose supports are one coordinate off
-    those of an equilibrium.  This reads the supports S and T of P(z),
-    then tries (S, T) and its one-swap neighbours, nearest the piece
-    boundary first: a drop ranks by its entry of P(z), an add by its
-    ``boundary_margins`` entry.  Each candidate solves the two small
-    equalizing systems on A_ST and A_ST' (see ``_equalizer``), and only
-    the exact duality gap decides.  The first candidate at or below
+    minimum of the residual norm whose supports are one or two
+    coordinates off those of an equilibrium.  This reads the supports S
+    and T of P(z), then tries (S, T) and its one-swap neighbours,
+    nearest the piece boundary first: a drop ranks by its entry of
+    P(z), an add by its ``boundary_margins`` entry.  If none certifies,
+    it tries exchanges: the nearest adds in turn, each paired with every
+    support coordinate of the same player, that one in and this one
+    out.  A stall that keeps both of two near-duplicate strategies needs
+    one: no single swap equalizes it.  Each candidate solves the two
+    small equalizing systems on A_ST and A_ST' (see ``_equalizer``), and
+    only the exact duality gap decides.  The first candidate at or below
     ``target_gap`` moves the state to the lift of that profile, whose
     kept P(z) is the profile itself, and returns True.  Returns False,
     with the state untouched, when no candidate certifies.
@@ -237,11 +246,16 @@ def basin_hop(ctx: DrsContext, state: SsnState, config: SsnConfig) -> bool:
     margins = boundary_margins(ctx, state.z)
     order = np.argsort(np.where(np.isinf(margins), p, margins), kind="stable")
     sizes = np.where(order < n, support[:n].sum(), support[n:].sum())
-    flips = [None, *order[~support[order] | (sizes > 1)]]
-    for flip in flips[:_CROSSOVER_CANDIDATES]:
+    flips = [[], *([i] for i in order[~support[order] | (sizes > 1)])]
+    drops = order[support[order]]
+    exchanges = ([add, drop] for add in order[~support[order]]
+                 for drop in drops[(drops < n) == (add < n)])
+    candidates = itertools.chain(
+        flips[:_CROSSOVER_CANDIDATES],
+        itertools.islice(exchanges, _EXCHANGE_CANDIDATES))
+    for flip in candidates:
         mask = support.copy()
-        if flip is not None:
-            mask[flip] = not mask[flip]
+        mask[flip] = ~mask[flip]
         rows, cols = np.flatnonzero(mask[:n]), np.flatnonzero(mask[n:])
         block = game.payoff[np.ix_(rows, cols)]
         y = _equalizer(block)

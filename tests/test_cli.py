@@ -213,6 +213,7 @@ class TestSuiteEndToEnd:
         assert meta["seed_offset"] == 0
         assert meta["methods"] == ["prm-qa", "pssn-v2"]
         assert meta["workers"] == 1
+        assert meta["gamma"] is None  # each game's 3 / sigma_max
         assert meta["failures"] == {}
         assert meta["tolerances"] == list(TOLERANCES)
         env = meta["numeric_env"]
@@ -361,6 +362,7 @@ class TestUsageErrors:
          "--switch-threshold must be finite and exceed --target, got nan"),
         (["--switch-threshold", "inf"],
          "--switch-threshold must be finite and exceed --target, got inf"),
+        (["--gamma", "nan"], "--gamma must be positive"),
     ])
     def test_non_finite_values_are_usage_errors(self, tmp_path, capsys, argv,
                                                 message):

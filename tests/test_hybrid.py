@@ -128,7 +128,8 @@ class TestPssnV1:
         outcome = pssn_v1(game, config)
         entry = ssn_rows(outcome.trace)[0]
         gap_at_switch = fo_rows(outcome.trace)[-1].gap
-        bound = 10.0 * (1.0 + config.gamma * estimate_spectral_norm(game.payoff)) \
+        gamma = build_context(game).gamma
+        bound = 10.0 * (1.0 + gamma * estimate_spectral_norm(game.payoff)) \
             * np.sqrt(gap_at_switch)
         assert entry.residual_norm <= bound
 
@@ -242,9 +243,20 @@ class TestStalledNewtonRuns:
     @pytest.mark.parametrize("variant", ["pssn-v1", "pssn-v2", "hpssn"])
     @pytest.mark.parametrize("name", sorted(stalling_games()))
     def test_support_crossover_certifies_the_stall(self, name, variant):
-        payoff = stalling_games()[name]
+        self.check_certified(stalling_games()[name], variant, None)
+
+    @pytest.mark.parametrize("variant", ["pssn-v1", "pssn-v2", "hpssn"])
+    @pytest.mark.parametrize("gamma", [0.3, 0.5])
+    def test_exchange_certifies_a_near_duplicate_stall(self, gamma, variant):
+        # At these gammas the stalled supports hold both near-duplicate
+        # rows, so every one-swap fails and only an exchange certifies.
+        self.check_certified(stalling_games()["near-dup-rows"], variant,
+                             gamma)
+
+    @staticmethod
+    def check_certified(payoff, variant, gamma):
         game = MatrixGame.from_payoff(payoff)
-        outcome = run_hybrid(game, HybridConfig(variant=variant,
+        outcome = run_hybrid(game, HybridConfig(variant=variant, gamma=gamma,
                                                 max_fo_iters=10_000))
         gap = outcome.certificate.gap
         assert outcome.status == STATUS_CONVERGED
@@ -308,7 +320,7 @@ class TestLazyContext:
         # rows (timing aside) are those of the lazy variants.
         tuned = run_hybrid(game, replace(config, variant="pssn-v2",
                                          theta_update_period=10 ** 9))
-        assert builds == [1.0]
+        assert builds == [None]
         traces.append(tuned.trace)
         untimed = [[(r.iteration, r.phase, r.gap, r.residual_norm, r.damping)
                     for r in trace] for trace in traces]
@@ -322,7 +334,21 @@ class TestLazyContext:
                                           switch_gap_threshold=1e-1))
         assert outcome.status == STATUS_CONVERGED
         assert outcome.newton_steps > 0
-        assert builds == [1.0]
+        assert builds == [None]
+
+
+class TestDefaultGamma:
+    @pytest.mark.parametrize("variant", ["pssn-v1", "pssn-v2", "hpssn"])
+    def test_none_is_the_resolved_gamma(self, variant):
+        game = uniform_game(0, n=20, m=20)
+        base = HybridConfig(variant=variant, switch_gap_threshold=1e-1,
+                            theta_update_period=100)
+        explicit = replace(base, gamma=build_context(game).gamma)
+        traces = [[(r.iteration, r.phase, r.gap, r.residual_norm, r.damping)
+                   for r in run_hybrid(game, config).trace]
+                  for config in (base, explicit)]
+        assert any(row[1] == PHASE_SSN for row in traces[0])
+        assert traces[0] == traces[1]
 
 
 class TestWarmStartQuality:

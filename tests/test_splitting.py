@@ -40,6 +40,13 @@ class TestBuildContext:
         assert ctx.game is game
         assert ctx.gamma == 0.5
 
+    def test_default_step_scales_to_the_payoff(self):
+        payoff = philox(41).standard_normal((5, 7))
+        ctx = make_ctx(payoff, None)
+        assert ctx.gamma == 3.0 / ctx.sigma[0]
+        assert np.isclose(ctx.gamma * np.linalg.norm(payoff, 2), 3.0)
+        assert make_ctx(np.zeros((2, 3)), None).gamma == 1.0
+
     def test_factors_the_smaller_gram_side(self):
         # The thin SVD has min(n, m) singular pairs: the spectrum of the
         # smaller Gram matrix.

@@ -362,6 +362,21 @@ class TestSolver:
         assert flag == FLAG_BUDGET
         assert state.newton_steps_taken == 1
 
+    def test_default_gamma_makes_runs_scale_invariant(self):
+        # Powers of two scale the payoff exactly, so the default gamma,
+        # 3 / sigma_max, scales exactly by the inverse factor.
+        payoff = philox(0).uniform(-1.0, 1.0, size=(60, 40))
+        start = StrategyProfile.uniform(60, 40)
+        runs = []
+        for scale in (1.0, 4.0, 0.25):
+            ctx = build_context(MatrixGame.from_payoff(scale * payoff))
+            state = make_state(ctx, lift(ctx, start), 1.0)
+            steps, cert, flag = drive_newton(
+                ctx, state, SsnConfig(target_gap=1e-12 * scale))
+            assert flag == FLAG_TARGET
+            runs.append((steps, cert.gap / scale))
+        assert runs[0] == runs[1] == runs[2]
+
     def test_runs_are_deterministic(self):
         rng = philox(71)
         game = random_game(rng, 12, 9)
