@@ -3,8 +3,11 @@
 Each (seed, method) pair is one run.  Runs are dispatched to a process
 pool, but results are collected and written in the deterministic input
 order, so output files depend only on the configuration (timing columns
-aside).  Per-run timing covers solver compute only; instance generation
-and file I/O happen outside the solver clock.
+aside).  Consecutive runs on one instance in one process share one
+build of it, so a serial suite parses a file once per seed, not once
+per method; pooled workers share a build only when consecutive runs of
+a seed reach the same worker.  Per-run timing covers solver compute
+only; instance generation and file I/O happen outside the solver clock.
 
 Outputs written to --out-dir:
 
@@ -24,6 +27,7 @@ Exit status: 0 when all runs complete, 1 when any run fails internally
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import FomConfig, extragradient_run, ogda_run
+from .game import MatrixGame
 from .hybrid import HybridConfig, run_hybrid
 from .instances import InstanceSpec, generate
 from .prm import SCHEME_LAST_ITERATE, SCHEME_QUADRATIC_AVG, run_prm
@@ -95,12 +100,24 @@ def default_switch_threshold(spec: InstanceSpec) -> float:
     return 1e-1 if spec.kind == "uniform" else 1e-2
 
 
+@functools.lru_cache(maxsize=1)
+def _build(spec: InstanceSpec) -> MatrixGame:
+    """``generate`` behind a one-entry cache, one per process.
+
+    A suite lists its runs seed by seed, every method of a seed in a
+    row, so consecutive runs share a spec, and since a ``MatrixGame`` is
+    immutable they can share the game.  A build that raises is not kept,
+    so each run of a bad spec reports its own failure.
+    """
+    return generate(spec)
+
+
 def execute_run(run: RunSpec) -> RunOutput:
     """Build the instance and run one method; never raises."""
     rid = run.run_id()
     label = run.spec.label()
     try:
-        game = generate(run.spec)
+        game = _build(run.spec)
         if run.method in ("prm-li", "prm-qa"):
             scheme = (SCHEME_LAST_ITERATE if run.method == "prm-li"
                       else SCHEME_QUADRATIC_AVG)
@@ -274,6 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_suite(args: argparse.Namespace) -> int:
     """Execute the configured runs and write all output files."""
+    # A file may have changed since an earlier suite in this process.
+    _build.cache_clear()
     seeds = [s + args.seed_offset for s in args.seed_list]
     runs = []
     for seed in seeds:

@@ -8,7 +8,8 @@ Normal entries use numpy's ziggurat standard-normal sampler.
 Two file formats are supported and detected by extension: dense CSV
 (one row per line, entries printed with %.17g so float64 values
 round-trip exactly) and MatrixMarket coordinate format (.mtx) with
-1-based indices, where absent entries are zero.
+1-based indices, where absent entries are zero and no entry may be
+given twice.
 """
 
 from __future__ import annotations
@@ -177,6 +178,7 @@ def _read_mtx(path: str) -> np.ndarray:
             f"{path}: header declares {nnz} entries but file has "
             f"{len(entries)}")
     a = np.zeros((n, m))
+    first_line: dict[tuple[int, int], int] = {}
     for lineno, line in entries:
         parts = line.split()
         if len(parts) != 3:
@@ -192,5 +194,9 @@ def _read_mtx(path: str) -> np.ndarray:
             raise MatrixFileError(
                 f"{path}:{lineno}: index ({i}, {j}) outside declared "
                 f"{n} x {m} shape")
+        earlier = first_line.setdefault((i, j), lineno)
+        if earlier != lineno:
+            raise MatrixFileError(
+                f"{path}:{lineno}: entry ({i}, {j}) repeats line {earlier}")
         a[i - 1, j - 1] = v
     return a

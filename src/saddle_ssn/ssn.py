@@ -3,26 +3,29 @@
 Each outer iteration assembles one generalized Jacobian J at the
 current point and line-searches over the damping parameter lambda: the
 system (J + mu I) dz = -r with mu = lambda * |r| is solved, and the
-candidate is accepted as soon as the residual norm strictly decreases,
-which divides lambda by ``ell``; a failed trial multiplies lambda by
-``ell`` (more damping, a shorter and safer step) and re-solves against
-the same Jacobian.  The inner loop aborts once lambda leaves
-[lambda_min, lambda_cap] or after a fixed number of trials, marking
-the state stalled.
+candidate is accepted as soon as the residual norm strictly decreases;
+a failed trial multiplies lambda by ``ell`` (more damping, a shorter
+and safer step) and re-solves against the same Jacobian.  An accepted
+step sets the damping the next step starts from, as trust-region
+methods set their radius: a step accepted on its first trial divides
+lambda by ``ell`` squared, and a step that needed retries keeps the
+lambda it was accepted at, so the next search does not re-try the
+lighter damping that just failed.  The inner loop aborts once lambda
+leaves [lambda_min, lambda_cap] or after a fixed number of trials,
+marking the state stalled.
 
-A separate adaptive schedule, keyed to the observed contraction
-psi = |r_prev| / |r_new|, acts as the fallback regime: when the line
-search stalls, it re-seeds lambda once and the search retries.
+A stall is the signature of supports a coordinate or two off those of
+an equilibrium: near-degenerate games can park the iterate at a local
+minimum of the residual norm whose affine piece has no root.  So a
+stall first tries an exact support crossover (see basin_hop): it
+solves the small equalizing systems on the current supports, their
+one-swap neighbours and, failing those, same-player exchanges, as LP
+crossover does after an interior or first-order method.  Only if that
+fails does a separate adaptive schedule, keyed to the observed
+contraction psi = |r_prev| / |r_new|, re-seed lambda once for a retry.
 (Applying the schedule after every accepted step instead inflates
 lambda without bound on slowly contracting stretches and suffocates
-the iteration, so it is reserved for stalls.)  A stall that survives
-the re-seed is the signature of supports a coordinate or two off those
-of an equilibrium: near-degenerate games can park the iterate at a
-local minimum of the residual norm whose affine piece has no root.
-There an exact support crossover takes over (see basin_hop): it solves
-the small equalizing systems on the current supports, their one-swap
-neighbours and, failing those, same-player exchanges, as LP crossover
-does after an interior or first-order method.  Termination is by exact
+the iteration, so it is reserved for stalls.)  Termination is by exact
 duality gap of the projected iterate, not by residual norm, so the
 returned certificate is unconditional.
 """
@@ -150,12 +153,15 @@ def line_search_accept(ctx: DrsContext, state: SsnState,
     """Run the damping line search at the current point.
 
     The Jacobian is assembled once and shared by all trials.  A trial
-    whose residual norm strictly decreases is committed and divides
-    lambda by ``ell``; otherwise lambda is multiplied by ``ell`` and
-    the system re-solved with the heavier damping.  A trial whose
-    linear solve fails numerically counts as a rejection.  If lambda
-    leaves [lambda_min, lambda_cap] or the trial budget runs out, the
-    state is returned unchanged except for a stalled flag.
+    whose residual norm strictly decreases is committed; otherwise
+    lambda is multiplied by ``ell`` and the system re-solved with the
+    heavier damping.  A trial whose linear solve fails numerically
+    counts as a rejection.  A step committed on its first trial leaves
+    lambda divided by ``ell`` squared (floored at lambda_min) for the
+    next step; a step that needed retries leaves the lambda it was
+    committed at.  If lambda leaves [lambda_min, lambda_cap] or the
+    trial budget runs out, the state is returned unchanged except for a
+    stalled flag.
     """
     if state.residual.norm <= config.residual_zero_tol:
         state.converged = True
@@ -178,7 +184,8 @@ def line_search_accept(ctx: DrsContext, state: SsnState,
             state.z = state.z + dz
             state.residual = cand
             state.last_trials = trials
-            state.lam = max(config.lambda_min, lam / config.ell)
+            state.lam = (max(config.lambda_min, lam / config.ell**2)
+                         if trials == 1 else lam)
             state.newton_steps_taken += 1
             return state
         lam *= config.ell
@@ -311,15 +318,16 @@ def drive_newton(ctx: DrsContext, state: SsnState, config: SsnConfig,
     per accepted step (gap of the projected iterate, residual norm,
     current damping, seconds since ``clock_start``, which defaults to
     the call); row iterations count on from ``start_iteration``.  A
-    stalled line search triggers one adaptive re-seed of the damping
-    followed by a retry; if the retry stalls too, the support crossover
-    (``basin_hop``) is tried.  When it certifies, its exact profile
-    counts as one more step, and the loop top traces that row and ends
-    the run, so the last row's gap is the returned certificate;
-    otherwise the run ends stalled.  Returns the number of accepted
-    steps, the last gap certificate, and a flag: "target" when the gap
-    certificate meets target_gap, "stalled" when the line search gave
-    up, "budget" when max_steps ran out.
+    stalled line search first tries the support crossover
+    (``basin_hop``).  When it certifies, its exact profile counts as
+    one more step, and the loop top traces that row and ends the run,
+    so the last row's gap is the returned certificate.  Otherwise the
+    damping is re-seeded once by ``adaptive_lambda_update`` (when a
+    step has been accepted before) and the search retried; a retry that
+    stalls again, at the same point, ends the run stalled.  Returns the
+    number of accepted steps, the last gap certificate, and a flag:
+    "target" when the gap certificate meets target_gap, "stalled" when
+    the line search gave up, "budget" when max_steps ran out.
     """
     t0 = time.perf_counter() if clock_start is None else clock_start
     if max_steps is None:
@@ -327,7 +335,6 @@ def drive_newton(ctx: DrsContext, state: SsnState, config: SsnConfig,
     if rows is None:
         rows = []
     steps = 0
-    steps_at_recovery = -1
     while True:
         cert = duality_gap(ctx.game, state.profile(ctx))
         rows.append(TraceRow(start_iteration + 1 + steps, PHASE_SSN, cert.gap,
@@ -339,19 +346,22 @@ def drive_newton(ctx: DrsContext, state: SsnState, config: SsnConfig,
         if steps >= max_steps:
             return steps, cert, FLAG_BUDGET
         line_search_accept(ctx, state, config)
-        while state.stalled:
+        if state.stalled:
             state.stalled = False
-            if steps != steps_at_recovery and math.isfinite(state.prev_norm):
-                steps_at_recovery = steps
+            # A certified crossover moves the state to its exact profile,
+            # which the loop top traces as one more step to end the run.
+            if not basin_hop(ctx, state, config):
+                if not math.isfinite(state.prev_norm):
+                    return steps, cert, FLAG_STALLED
                 state.lam = adaptive_lambda_update(state.prev_norm,
                                                    state.residual.norm,
                                                    state.lam, config)
                 line_search_accept(ctx, state, config)
-                continue
-            if not basin_hop(ctx, state, config):
-                return steps, cert, FLAG_STALLED
-            # The crossover moved to a certified profile; the loop top
-            # traces it as one more step and ends the run.
+                if state.stalled:
+                    # The point has not moved, so the crossover would
+                    # fail again.
+                    state.stalled = False
+                    return steps, cert, FLAG_STALLED
         if state.converged:
             # Residual numerically zero: the projected point is an
             # equilibrium up to roundoff; certify and stop.

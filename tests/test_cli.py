@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from saddle_ssn import instances
 from saddle_ssn.cli import (
     METHODS,
     RUNS_HEADER,
@@ -20,9 +21,11 @@ from saddle_ssn.cli import (
     main,
 )
 from saddle_ssn.game import MatrixGame
-from saddle_ssn.instances import InstanceSpec, save_matrix
+from saddle_ssn.instances import InstanceSpec, load_matrix, save_matrix
 from saddle_ssn.cli import _default_workers, _parse_seeds
 from saddle_ssn.trace import PHASE_FO, PHASE_SSN, TraceRow
+
+RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
 
 def read_rows(path):
@@ -304,6 +307,45 @@ class TestFileInstances:
             meta = json.load(fh)
         assert list(meta["failures"]) == ["file-nope_missing-s0-eg"]
         assert "FAILED file-nope_missing-s0-eg" in capsys.readouterr().err
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return load_matrix(path)
+
+        monkeypatch.setattr(instances, "load_matrix", counting)
+        return calls
+
+    def test_every_method_shares_one_load(self, tmp_path, loads):
+        path = str(tmp_path / "rps.mtx")
+        save_matrix(MatrixGame.from_payoff(RPS), path)
+        rc, out_dir = run_cli(tmp_path, "shared", [
+            "--kind", "file", "--path", path, "--seeds", "0",
+            "--methods", "pssn-v1,pssn-v2,hpssn", "--workers", "1",
+        ])
+        assert rc == 0
+        assert loads == [path]
+        rows = read_rows(os.path.join(out_dir, "runs.csv"))
+        assert [r["method"] for r in rows if r["phase"] == PHASE_FO
+                and r["iteration"] == "0"] == ["pssn-v1", "pssn-v2", "hpssn"]
+
+    def test_a_malformed_file_fails_every_run(self, tmp_path, loads):
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "1 1 1\n1 1 zebra\n")
+        methods = ["eg", "pssn-v1", "hpssn"]
+        rc, out_dir = run_cli(tmp_path, "bad", [
+            "--kind", "file", "--path", str(path), "--seeds", "0",
+            "--methods", ",".join(methods), "--workers", "1",
+        ])
+        assert rc == 1
+        assert len(loads) == 3
+        assert read_lines(os.path.join(out_dir, "runs.csv"))[1:] == [
+            f"file-bad,0,{method},0,ERROR,nan,nan,nan,nan"
+            for method in methods]
 
 
 class TestUsageErrors:

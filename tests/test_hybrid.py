@@ -239,11 +239,39 @@ def stalling_games():
     return games
 
 
+def other_degenerate_games():
+    """The rest of the degenerate families: exact and perturbed
+    rock-paper-scissors, rank-1, integer, tall, 1xm and pure-saddle
+    payoffs, drawn in the order the near-duplicate game starts."""
+    games = {f"rps{eps:+g}": np.column_stack([RPS, RPS[:, 0] + eps])
+             for eps in (0.0, 1e-3, -1e-3)}
+    rng = philox(0)
+    rng.uniform(-1.0, 1.0, size=(30, 30))  # the near-duplicate game
+    games["rank-1"] = np.outer(rng.uniform(-1.0, 1.0, 20),
+                               rng.uniform(-1.0, 1.0, 30))
+    games["integer"] = rng.integers(-5, 6, size=(15, 15)).astype(float)
+    games["tall-300x20"] = rng.uniform(-1.0, 1.0, size=(300, 20))
+    games["one-by-25"] = rng.uniform(-1.0, 1.0, size=(1, 25))
+    # Row 3 column 7 is a pure saddle: the row minimizes down column 7,
+    # the column maximizes along row 3, both at value 0.
+    saddle = rng.uniform(-1.0, 1.0, size=(20, 20))
+    saddle[3, :] = rng.uniform(-1.0, 0.0, 20)
+    saddle[:, 7] = rng.uniform(0.0, 1.0, 20)
+    saddle[3, 7] = 0.0
+    games["pure-saddle"] = saddle
+    return games
+
+
 class TestStalledNewtonRuns:
     @pytest.mark.parametrize("variant", ["pssn-v1", "pssn-v2", "hpssn"])
     @pytest.mark.parametrize("name", sorted(stalling_games()))
     def test_support_crossover_certifies_the_stall(self, name, variant):
         self.check_certified(stalling_games()[name], variant, None)
+
+    @pytest.mark.parametrize("variant", ["pssn-v1", "pssn-v2", "hpssn"])
+    @pytest.mark.parametrize("name", sorted(other_degenerate_games()))
+    def test_other_degenerate_families_certify(self, name, variant):
+        self.check_certified(other_degenerate_games()[name], variant, None)
 
     @pytest.mark.parametrize("variant", ["pssn-v1", "pssn-v2", "hpssn"])
     @pytest.mark.parametrize("gamma", [0.3, 0.5])

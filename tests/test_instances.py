@@ -202,6 +202,18 @@ class TestMtxFormat:
         with pytest.raises(MatrixFileError, match=r":3: malformed entry"):
             load_matrix(str(path))
 
+    def test_repeated_entry_reports_both_lines(self, tmp_path):
+        path = tmp_path / "dup.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 3\n"
+                        "1 1 1.0\n"
+                        "% the same coordinate again\n"
+                        "2 1 2.0\n"
+                        "1 1 5.0\n")
+        with pytest.raises(MatrixFileError,
+                           match=r":6: entry \(1, 1\) repeats line 3"):
+            load_matrix(str(path))
+
     def test_empty_file_is_rejected(self, tmp_path):
         path = tmp_path / "e.mtx"
         path.write_text("")

@@ -13,6 +13,7 @@ from saddle_ssn.game import (MatrixGame, StrategyProfile, duality_gap,
 from saddle_ssn.splitting import build_context, lift, residual, restrict
 from saddle_ssn.ssn import (
     FLAG_BUDGET,
+    FLAG_STALLED,
     FLAG_TARGET,
     SsnConfig,
     adaptive_lambda_update,
@@ -38,12 +39,13 @@ def near_uniform_start(ctx):
     return lift(ctx, prof)
 
 
-def rejection_prone_state(max_trials=60):
-    """A frozen start whose first Newton trial overshoots."""
+def rejection_prone_state(max_trials=60, key=1):
+    """A frozen start whose first Newton trial overshoots (key 1: one
+    rejection, key 3: two)."""
     rng = philox(0)
     game = MatrixGame.from_payoff(rng.uniform(-1.0, 1.0, size=(6, 7)))
     ctx = build_context(game, 1.0)
-    z = np.random.Generator(np.random.Philox(key=1)).normal(size=13) * 2.0
+    z = np.random.Generator(np.random.Philox(key=key)).normal(size=13) * 2.0
     config = SsnConfig(max_line_search_trials=max_trials)
     return ctx, make_state(ctx, z, 0.01), config
 
@@ -131,7 +133,7 @@ class TestLineSearch:
         assert state.newton_steps_taken == 1
         assert state.prev_norm == r0
         assert state.residual.norm < r0
-        assert state.lam == max(1e-15, 1.0 / 1.5)
+        assert state.lam == max(1e-15, 1.0 / 1.5**2)
         assert np.array_equal(z0 + first_trial, state.z)
 
     def test_retries_with_heavier_damping_after_rejection(self):
@@ -142,7 +144,25 @@ class TestLineSearch:
         assert state.last_trials == 2
         assert state.newton_steps_taken == 1
         assert state.residual.norm < r0
-        assert state.lam == max(1e-15, (0.01 * 1.5) / 1.5)
+        assert state.lam == max(1e-15, 0.01 * 1.5)
+
+    def test_next_step_starts_at_the_damping_that_succeeded(self,
+                                                             monkeypatch):
+        ctx, state, config = rejection_prone_state(key=3)
+        tried = []
+
+        def recording(ctx, state, config, jac=None, lam=None):
+            tried.append(lam)
+            return newton_step(ctx, state, config, jac=jac, lam=lam)
+
+        monkeypatch.setattr(ssn_module, "newton_step", recording)
+        line_search_accept(ctx, state, config)
+        assert not state.stalled
+        assert state.last_trials == 3
+        assert tried == [0.01, 0.01 * 1.5, 0.01 * 1.5 * 1.5]
+        assert state.lam == tried[-1]
+        line_search_accept(ctx, state, config)
+        assert tried[3] == 0.01 * 1.5 * 1.5
 
     def test_stalls_when_trial_budget_is_exhausted(self):
         ctx, state, config = rejection_prone_state(max_trials=1)
@@ -301,6 +321,47 @@ class TestBasinHop:
         assert rows[-1].gap == cert.gap <= 1e-12
         assert len(rows) == steps + 1
         assert cert == duality_gap(ctx.game, state.profile(ctx))
+
+    @pytest.fixture
+    def recovery(self, monkeypatch):
+        """Record crossover and re-seed calls in order; the crossover
+        certifies only while ``certify`` holds True."""
+        events = []
+        certify = [True]
+
+        def crossover(ctx, state, config):
+            events.append("crossover")
+            return certify[0] and basin_hop(ctx, state, config)
+
+        def reseed(*args):
+            events.append("reseed")
+            return adaptive_lambda_update(*args)
+
+        monkeypatch.setattr(ssn_module, "basin_hop", crossover)
+        monkeypatch.setattr(ssn_module, "adaptive_lambda_update", reseed)
+        return events, certify
+
+    def test_a_stall_tries_the_crossover_before_a_reseed(self, recovery):
+        events, _ = recovery
+        ctx, state = stalled_state()
+        _, cert, flag = drive_newton(ctx, state, SsnConfig())
+        assert (flag, events) == (FLAG_TARGET, ["crossover"])
+        assert cert.gap <= 1e-12
+
+    def test_an_uncertified_stall_reseeds_once_and_ends(self, recovery):
+        # One trial per search, and a strong contraction behind the
+        # point, so the re-seed lightens the damping and the retry
+        # overshoots as the first search did.
+        events, certify = recovery
+        certify[0] = False
+        ctx, state, config = rejection_prone_state(max_trials=1, key=3)
+        state.prev_norm = 10.0 * state.residual.norm
+        z = state.z.copy()
+        steps, _, flag = drive_newton(ctx, state, config)
+        assert (steps, flag) == (0, FLAG_STALLED)
+        assert events == ["crossover", "reseed"]
+        assert np.array_equal(state.z, z)
+        assert not state.stalled
 
     @pytest.mark.parametrize("target", [1e-12, 0.0])
     def test_leaves_the_state_untouched_without_a_certificate(self, target):
