@@ -15,8 +15,8 @@ Outputs written to --out-dir:
 * ``tolerance_table.csv``: per method and tolerance, how many runs
   reached the tolerance and their mean time to reach it (first
   checkpoint crossing); the mean is left empty when no run reached it.
-* ``traces/<run-id>.csv``: the per-run trace, plus two plot-ready
-  companions (gap against elapsed time, residual against iteration).
+* ``traces/<run-id>.csv``: the per-run trace, the columns of
+  ``runs.csv`` after ``method``.
 * ``meta.json``: the fully resolved configuration and the numeric
   environment (numpy, BLAS, thread variables, usable CPUs).
 
@@ -40,9 +40,9 @@ import numpy as np
 from .baselines import FomConfig, extragradient_run, ogda_run
 from .game import MatrixGame
 from .hybrid import HybridConfig, run_hybrid
-from .instances import InstanceSpec, generate
+from .instances import SEED_LIMIT, InstanceSpec, generate
 from .prm import SCHEME_LAST_ITERATE, SCHEME_QUADRATIC_AVG, run_prm
-from .trace import PHASE_SSN, TraceRow
+from .trace import TraceRow
 
 SEED_OFFSET_ENV = "SADDLE_SSN_SEED_OFFSET"
 
@@ -198,29 +198,6 @@ def _write_trace_files(traces_dir: str, out: RunOutput) -> None:
             fh.write(f"{r.iteration},{r.phase},{_fmt(r.gap)},"
                      f"{_fmt(r.residual_norm)},{_fmt(r.damping)},"
                      f"{_fmt(r.elapsed)}\n")
-    emit_trace_plotdata(out.rows, traces_dir, out.run_id)
-
-
-def emit_trace_plotdata(rows: list[TraceRow], traces_dir: str,
-                        run_id: str) -> None:
-    """Write the two plot-ready projections of a run trace.
-
-    ``<run-id>.gap_vs_time.csv`` holds (elapsed_seconds, duality_gap)
-    for every checkpoint; ``<run-id>.residual_vs_iter.csv`` holds
-    (iteration, residual_norm) for Newton rows only, so it is
-    header-only for purely first-order runs.
-    """
-    with open(os.path.join(traces_dir, f"{run_id}.gap_vs_time.csv"), "w",
-              encoding="ascii") as fh:
-        fh.write("elapsed_seconds,duality_gap\n")
-        for r in rows:
-            fh.write(f"{_fmt(r.elapsed)},{_fmt(r.gap)}\n")
-    with open(os.path.join(traces_dir, f"{run_id}.residual_vs_iter.csv"),
-              "w", encoding="ascii") as fh:
-        fh.write("iteration,residual_norm\n")
-        for r in rows:
-            if r.phase == PHASE_SSN and math.isfinite(r.residual_norm):
-                fh.write(f"{r.iteration},{_fmt(r.residual_norm)}\n")
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -418,10 +395,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError:
         parser.error(f"{SEED_OFFSET_ENV} must be an integer, got {raw_offset!r}")
     lowest = min(args.seed_list) + args.seed_offset
+    highest = max(args.seed_list) + args.seed_offset
+    source = (f"from --seeds {args.seeds!r} and "
+              f"{SEED_OFFSET_ENV}={args.seed_offset}")
     if lowest < 0:
-        parser.error(f"seeds must be nonnegative, got {lowest} from "
-                     f"--seeds {args.seeds!r} and "
-                     f"{SEED_OFFSET_ENV}={args.seed_offset}")
+        parser.error(f"seeds must be nonnegative, got {lowest} {source}")
+    if highest >= SEED_LIMIT:
+        parser.error(f"seeds must be below 2**128, got {highest} {source}")
     return run_suite(args)
 
 

@@ -9,12 +9,16 @@ needs it, so a run that never leaves regret matching never pays for it:
   solver with fixed initial damping.
 * ``pssn-v2``: as v1, but every ``theta_update_period`` rounds a trial
   Newton direction is evaluated at the lifted running average and
-  discarded, keeping only its adaptive damping update, so the Newton
-  phase starts with a tuned damping parameter.
+  discarded, keeping only its adaptive damping update
+  (``adaptive_lambda_update``), so the Newton phase starts with a tuned
+  damping parameter.
 * ``hpssn``: alternate.  Whenever the gap has halved since the last
-  Newton attempt, probe with a few Newton steps; keep going with Newton
-  only if the probe cut the residual by ``hpssn_accept_factor``,
-  otherwise project back onto the simplices and resume regret matching.
+  Newton attempt, probe with ``HPSSN_PROBE_STEPS`` Newton steps; keep
+  going with Newton only if the probe cut the residual by
+  ``HPSSN_ACCEPT_FACTOR``, otherwise project back onto the simplices
+  and resume regret matching.
+
+Every variant enters Newton at damping ``LAMBDA0`` (v2 then tunes it).
 
 Every returned profile is re-certified by a fresh duality-gap call, so
 the reported status never relies on stale solver bookkeeping.
@@ -24,12 +28,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .game import GapCertificate, MatrixGame, StrategyProfile, duality_gap
 from .prm import STATUS_BUDGET, STATUS_CONVERGED, checkpoints, regret_matching
 from .splitting import build_context, lift
-from .ssn import (FLAG_BUDGET, FLAG_TARGET, SsnConfig, adaptive_lambda_update,
+from .ssn import (FLAG_BUDGET, FLAG_TARGET, LAMBDA_MIN, SsnConfig,
                   drive_newton, make_state, newton_step)
 from .trace import PHASE_FO, TraceRow
 
@@ -42,6 +46,22 @@ VARIANT_ALTERNATING = "hpssn"
 # Two hybrid cycles ending this close together are treated as no progress.
 _CYCLE_STALL_TOL = 1e-15
 
+# Damping at Newton entry, and hpssn's probe length and the residual
+# cut that commits a probe.
+LAMBDA0 = 1.0
+HPSSN_PROBE_STEPS = 5
+HPSSN_ACCEPT_FACTOR = 10.0
+
+# The damping tuner's hard ceiling, contraction thresholds, inflation
+# factors, and the clamp of its strong-contraction shrink factor.
+_LAMBDA_MAX = 1e15
+_ALPHA1 = 1e-2
+_ALPHA2 = 5.0
+_BETA1 = 2.0
+_BETA2 = 5.0
+_BETA0_FLOOR = 0.05
+_BETA0_CEIL = 0.9
+
 
 @dataclass(frozen=True)
 class HybridConfig:
@@ -51,9 +71,8 @@ class HybridConfig:
     first probe comparison (hpssn, via gap halving).  ``gap_check_period``
     is the first-order checkpoint cadence; exact gaps are only computed
     at checkpoints.  ``gamma`` is the splitting parameter; None scales
-    it to the payoff (see ``build_context``).  ``ssn`` optionally
-    overrides the Newton constants; its target gap is always replaced
-    by ``target_gap``.
+    it to the payoff (see ``build_context``).  The Newton phase runs
+    with ``SsnConfig``'s budgets and ``target_gap``.
     """
 
     switch_gap_threshold: float = 1e-2
@@ -62,12 +81,7 @@ class HybridConfig:
     gamma: float | None = None
     target_gap: float = 1e-12
     max_fo_iters: int = 500_000
-    hpssn_probe_steps: int = 5
-    hpssn_accept_factor: float = 10.0
     gap_check_period: int = 100
-    lambda0: float = 1.0
-    predictive: bool = True
-    ssn: SsnConfig | None = None
 
     def __post_init__(self):
         if self.variant not in (VARIANT_SWITCH, VARIANT_TUNED,
@@ -83,18 +97,8 @@ class HybridConfig:
             raise ValueError(
                 f"gamma must be positive and finite, got {self.gamma}")
         if min(self.theta_update_period, self.max_fo_iters,
-               self.hpssn_probe_steps, self.gap_check_period) < 1:
+               self.gap_check_period) < 1:
             raise ValueError("periods and budgets must be positive")
-        if not 1.0 < self.hpssn_accept_factor < math.inf:
-            raise ValueError("probe acceptance factor must be finite and "
-                             f"exceed 1, got {self.hpssn_accept_factor}")
-        if not 0.0 < self.lambda0 < math.inf:
-            raise ValueError("initial damping must be positive and finite, "
-                             f"got {self.lambda0}")
-
-    def ssn_config(self) -> SsnConfig:
-        return replace(self.ssn if self.ssn is not None else SsnConfig(),
-                       target_gap=self.target_gap)
 
 
 @dataclass
@@ -140,16 +144,16 @@ def _run_pssn(game: MatrixGame, config: HybridConfig,
     # The tuned variant probes damping during regret matching; v1 first
     # needs the context at the switch.
     ctx = build_context(game, config.gamma) if tuned else None
-    scfg = config.ssn_config()
-    play, average = regret_matching(game, config.predictive)
+    scfg = SsnConfig(target_gap=config.target_gap)
+    play, average = regret_matching(game)
     rows: list[TraceRow] = []
-    lam = config.lambda0
+    lam = LAMBDA0
 
     def advance(t: int) -> None:
         nonlocal lam
         play(t)
         if tuned and t % config.theta_update_period == 0:
-            lam = _tune_damping(ctx, average(), lam, scfg)
+            lam = _tune_damping(ctx, average(), lam)
 
     for t, profile, cert in checkpoints(
             game, StrategyProfile.uniform(game.n, game.m), advance, average,
@@ -180,15 +184,38 @@ def _run_pssn(game: MatrixGame, config: HybridConfig,
                          switch_iter + steps, rows)
 
 
-def _tune_damping(ctx, profile: StrategyProfile, lam: float,
-                  scfg: SsnConfig) -> float:
+def _tune_damping(ctx, profile: StrategyProfile, lam: float) -> float:
     """Evaluate one discarded Newton direction to refresh the damping."""
     state = make_state(ctx, lift(ctx, profile), lam)
-    trial = newton_step(ctx, state, scfg)
+    trial = newton_step(ctx, state)
     if trial is None:
         return lam
     _, cand = trial
-    return adaptive_lambda_update(state.residual.norm, cand.norm, lam, scfg)
+    return adaptive_lambda_update(state.residual.norm, cand.norm, lam)
+
+
+def adaptive_lambda_update(prev_norm: float, new_norm: float,
+                           lam: float) -> float:
+    """Damping schedule keyed to the contraction of one trial.
+
+    The contraction is psi = prev_norm / new_norm (infinite when the new
+    residual is exactly zero).  Branches: psi >= _ALPHA2 shrinks lambda
+    by sqrt(new_norm) clamped to [_BETA0_FLOOR, _BETA0_CEIL],
+    _ALPHA1 <= psi < _ALPHA2 multiplies by _BETA1, psi < _ALPHA1
+    multiplies by _BETA2.  The result always lies in [LAMBDA_MIN,
+    _LAMBDA_MAX].
+    """
+    for name, val in (("prev_norm", prev_norm), ("new_norm", new_norm),
+                      ("lambda", lam)):
+        if not math.isfinite(val) or val < 0.0:
+            raise ValueError(f"{name} must be finite and nonnegative, got {val}")
+    psi = math.inf if new_norm == 0.0 else prev_norm / new_norm
+    if psi >= _ALPHA2:
+        beta0 = min(max(math.sqrt(new_norm), _BETA0_FLOOR), _BETA0_CEIL)
+        return max(LAMBDA_MIN, beta0 * lam)
+    if psi >= _ALPHA1:
+        return min(_LAMBDA_MAX, _BETA1 * lam)
+    return min(_LAMBDA_MAX, _BETA2 * lam)
 
 
 def hpssn(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
@@ -196,19 +223,19 @@ def hpssn(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
 
     A probe fires at the first checkpoint whose gap is at most half the
     gap at the previous probe (initially: half the starting gap).  The
-    probe runs up to ``hpssn_probe_steps`` accepted Newton steps from
+    probe runs up to ``HPSSN_PROBE_STEPS`` accepted Newton steps from
     the lifted average; if it cuts the residual norm by at least
-    ``hpssn_accept_factor`` it keeps the Newton iteration running to
+    ``HPSSN_ACCEPT_FACTOR`` it keeps the Newton iteration running to
     the target, otherwise the Newton point is projected back and regret
     matching resumes unperturbed.  The damping parameter carries across
     episodes.  Two consecutive episodes ending at gaps equal to within
     1e-15 report ``ssn_stalled``.
     """
     t0 = time.perf_counter()
-    scfg = config.ssn_config()
-    advance, average = regret_matching(game, config.predictive)
+    scfg = SsnConfig(target_gap=config.target_gap)
+    advance, average = regret_matching(game)
     rows: list[TraceRow] = []
-    lam = config.lambda0
+    lam = LAMBDA0
     newton_total = 0
     # Each Newton episode shifts the trace numbering of later rows.
     extra_rows = 0
@@ -239,13 +266,13 @@ def hpssn(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
         state = make_state(ctx, lift(ctx, profile), lam)
         entry_norm = state.residual.norm
         steps, ep_cert, flag = drive_newton(ctx, state, scfg,
-                                            config.hpssn_probe_steps, rows,
-                                            t0, t + extra_rows)
+                                            HPSSN_PROBE_STEPS, rows, t0,
+                                            t + extra_rows)
         extra_rows += steps + 1
         newton_total += steps
         committed = (flag == FLAG_BUDGET
                      and state.residual.norm
-                     <= entry_norm / config.hpssn_accept_factor)
+                     <= entry_norm / HPSSN_ACCEPT_FACTOR)
         if committed:
             more, ep_cert, flag = drive_newton(
                 ctx, state, scfg, scfg.max_newton_iters - steps, rows, t0,

@@ -24,6 +24,8 @@ from .game import MatrixGame
 KIND_UNIFORM = "uniform"
 KIND_NORMAL = "normal"
 KIND_FILE = "file"
+# Seeds are Philox keys, which must be below this.
+SEED_LIMIT = 2**128
 
 _MTX_HEADER = ("%%matrixmarket", "matrix", "coordinate", "real", "general")
 
@@ -59,6 +61,8 @@ class InstanceSpec:
                     f"({self.n}, {self.m})")
             if self.seed < 0:
                 raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            if self.seed >= SEED_LIMIT:
+                raise ValueError(f"seed must be below 2**128, got {self.seed}")
 
     def label(self) -> str:
         """Short identifier used in benchmark output files."""

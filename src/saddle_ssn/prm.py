@@ -139,11 +139,10 @@ class FirstOrderResult:
     trace: list[TraceRow] = field(default_factory=list)
 
 
-def regret_matching(game: MatrixGame, predictive: bool = True,
-                    averaging: bool = True
+def regret_matching(game: MatrixGame, averaging: bool = True
                     ) -> tuple[Callable[[int], None],
                                Callable[[], StrategyProfile]]:
-    """Alternating regret matching from uniform strategies.
+    """Alternating predictive regret matching from uniform strategies.
 
     Returns ``advance(t)``, which plays round t, and ``emitted()``, the
     profile to certify: the average of the played strategies weighted
@@ -154,7 +153,7 @@ def regret_matching(game: MatrixGame, predictive: bool = True,
     averager = AverageAccumulator.empty(game.n, game.m)
 
     def advance(t: int) -> None:
-        x_new, y_new = alternating_round(game, row, col, predictive=predictive)
+        x_new, y_new = alternating_round(game, row, col)
         if averaging:
             averager.add(x_new, y_new, float(t) * float(t))
 
@@ -188,8 +187,7 @@ def checkpoints(game: MatrixGame, start: StrategyProfile,
 
 def run_prm(game: MatrixGame, scheme: str = SCHEME_QUADRATIC_AVG,
             max_iters: int = 500_000, target_gap: float = 1e-12,
-            check_every: int = 100, predictive: bool = True
-            ) -> FirstOrderResult:
+            check_every: int = 100) -> FirstOrderResult:
     """Run alternating regret matching until the target gap or budget.
 
     The emitted profile follows ``scheme``: "qa" averages post-update
@@ -203,8 +201,7 @@ def run_prm(game: MatrixGame, scheme: str = SCHEME_QUADRATIC_AVG,
         raise ValueError(f"check_every must be positive, got {check_every}")
     t0 = time.perf_counter()
     rows: list[TraceRow] = []
-    advance, emitted = regret_matching(game, predictive,
-                                       scheme == SCHEME_QUADRATIC_AVG)
+    advance, emitted = regret_matching(game, scheme == SCHEME_QUADRATIC_AVG)
     for t, profile, cert in checkpoints(
             game, StrategyProfile.uniform(game.n, game.m), advance, emitted,
             max_iters, check_every):

@@ -4,30 +4,26 @@ Each outer iteration assembles one generalized Jacobian J at the
 current point and line-searches over the damping parameter lambda: the
 system (J + mu I) dz = -r with mu = lambda * |r| is solved, and the
 candidate is accepted as soon as the residual norm strictly decreases;
-a failed trial multiplies lambda by ``ell`` (more damping, a shorter
+a failed trial multiplies lambda by ``ELL`` (more damping, a shorter
 and safer step) and re-solves against the same Jacobian.  An accepted
 step sets the damping the next step starts from, as trust-region
 methods set their radius: a step accepted on its first trial divides
-lambda by ``ell`` squared, and a step that needed retries keeps the
+lambda by ``ELL`` squared, and a step that needed retries keeps the
 lambda it was accepted at, so the next search does not re-try the
 lighter damping that just failed.  The inner loop aborts once lambda
-leaves [lambda_min, lambda_cap] or after a fixed number of trials,
+leaves [LAMBDA_MIN, LAMBDA_CAP] or after a fixed number of trials,
 marking the state stalled.
 
 A stall is the signature of supports a coordinate or two off those of
 an equilibrium: near-degenerate games can park the iterate at a local
 minimum of the residual norm whose affine piece has no root.  So a
-stall first tries an exact support crossover (see basin_hop): it
-solves the small equalizing systems on the current supports, their
-one-swap neighbours and, failing those, same-player exchanges, as LP
-crossover does after an interior or first-order method.  Only if that
-fails does a separate adaptive schedule, keyed to the observed
-contraction psi = |r_prev| / |r_new|, re-seed lambda once for a retry.
-(Applying the schedule after every accepted step instead inflates
-lambda without bound on slowly contracting stretches and suffocates
-the iteration, so it is reserved for stalls.)  Termination is by exact
-duality gap of the projected iterate, not by residual norm, so the
-returned certificate is unconditional.
+stall runs an exact support crossover (see basin_hop): it solves the
+small equalizing systems on the current supports, their one-swap
+neighbours and, failing those, same-player exchanges, as LP crossover
+does after an interior or first-order method.  If no candidate
+certifies, the run ends stalled.  Termination is by exact duality gap
+of the projected iterate, not by residual norm, so the returned
+certificate is unconditional.
 """
 
 from __future__ import annotations
@@ -49,52 +45,33 @@ FLAG_TARGET = "target"
 FLAG_STALLED = "stalled"
 FLAG_BUDGET = "budget"
 
+# Line-search ratio, the range lambda must stay in, and the residual
+# norm below which a point counts as a root.
+ELL = 1.5
+LAMBDA_CAP = 1e9
+LAMBDA_MIN = 1e-15
+RESIDUAL_ZERO_TOL = 1e-14
+
 
 @dataclass(frozen=True)
 class SsnConfig:
-    """Constants of the Newton phase.
+    """Target and budgets of the Newton phase.
 
-    ``ell`` is the line-search ratio, ``lambda_cap`` the upper guard of
-    the line search, ``lambda_min``/``lambda_max`` the hard range kept
-    by the adaptive schedule, ``alpha1``/``alpha2`` its contraction
-    thresholds and ``beta1``/``beta2`` its inflation factors.  The
-    shrink factor of the strong-contraction branch is sqrt(|r_new|)
-    clamped to [beta0_floor, beta0_ceil].
+    ``max_newton_iters`` caps accepted steps per ``drive_newton`` call
+    and ``max_line_search_trials`` the trials of one line search.
     """
 
-    ell: float = 1.5
-    lambda_cap: float = 1e9
-    lambda_min: float = 1e-15
-    lambda_max: float = 1e15
-    alpha1: float = 1e-2
-    alpha2: float = 5.0
-    beta1: float = 2.0
-    beta2: float = 5.0
-    beta0_floor: float = 0.05
-    beta0_ceil: float = 0.9
     max_newton_iters: int = 200
     target_gap: float = 1e-12
     max_line_search_trials: int = 60
-    residual_zero_tol: float = 1e-14
 
     def __post_init__(self):
         if not all(map(math.isfinite, astuple(self))):
             raise ValueError(f"Newton constants must be finite: {self}")
-        if self.ell <= 1.0:
-            raise ValueError(f"line-search ratio ell must exceed 1, got {self.ell}")
-        if not 0.0 < self.lambda_min <= self.lambda_cap <= self.lambda_max:
-            raise ValueError("lambda bounds must satisfy 0 < min <= cap <= max")
-        if not 0.0 < self.alpha1 < self.alpha2:
-            raise ValueError("contraction thresholds must satisfy 0 < alpha1 < alpha2")
-        if self.beta1 <= 1.0 or self.beta2 <= 1.0:
-            raise ValueError("inflation factors beta1, beta2 must exceed 1")
-        if not 0.0 < self.beta0_floor <= self.beta0_ceil < 1.0:
-            raise ValueError("beta0 clamp must satisfy 0 < floor <= ceil < 1")
         if self.max_newton_iters < 1 or self.max_line_search_trials < 1:
             raise ValueError("iteration budgets must be at least 1")
-        if self.target_gap < 0.0 or self.residual_zero_tol < 0.0:
-            raise ValueError("target gap and residual zero tolerance must be "
-                             "nonnegative")
+        if self.target_gap < 0.0:
+            raise ValueError("target gap must be nonnegative")
 
 
 @dataclass
@@ -107,9 +84,7 @@ class SsnState:
     newton_steps_taken: int = 0
     converged: bool = False
     stalled: bool = False
-    # Bookkeeping from the last accepted line search, consumed by the
-    # adaptive damping update and by diagnostics.
-    prev_norm: float = math.nan
+    # Trials of the last line search, for diagnostics.
     last_trials: int = 0
 
     def profile(self, ctx: DrsContext) -> StrategyProfile:
@@ -127,7 +102,7 @@ def make_state(ctx: DrsContext, z0, lambda0: float) -> SsnState:
     return SsnState(z=z, lam=float(lambda0), residual=residual(ctx, z))
 
 
-def newton_step(ctx: DrsContext, state: SsnState, config: SsnConfig,
+def newton_step(ctx: DrsContext, state: SsnState,
                 jac: ResidualJacobian | None = None,
                 lam: float | None = None
                 ) -> tuple[np.ndarray, ResidualValue] | None:
@@ -137,7 +112,7 @@ def newton_step(ctx: DrsContext, state: SsnState, config: SsnConfig,
     when the current residual is already numerically zero, in which
     case the caller should report convergence instead of stepping.
     """
-    if state.residual.norm <= config.residual_zero_tol:
+    if state.residual.norm <= RESIDUAL_ZERO_TOL:
         return None
     if jac is None:
         jac = residual_jacobian(ctx, state.z, res=state.residual)
@@ -154,41 +129,39 @@ def line_search_accept(ctx: DrsContext, state: SsnState,
 
     The Jacobian is assembled once and shared by all trials.  A trial
     whose residual norm strictly decreases is committed; otherwise
-    lambda is multiplied by ``ell`` and the system re-solved with the
+    lambda is multiplied by ``ELL`` and the system re-solved with the
     heavier damping.  A trial whose linear solve fails numerically
     counts as a rejection.  A step committed on its first trial leaves
-    lambda divided by ``ell`` squared (floored at lambda_min) for the
+    lambda divided by ``ELL`` squared (floored at LAMBDA_MIN) for the
     next step; a step that needed retries leaves the lambda it was
-    committed at.  If lambda leaves [lambda_min, lambda_cap] or the
+    committed at.  If lambda leaves [LAMBDA_MIN, LAMBDA_CAP] or the
     trial budget runs out, the state is returned unchanged except for a
     stalled flag.
     """
-    if state.residual.norm <= config.residual_zero_tol:
+    if state.residual.norm <= RESIDUAL_ZERO_TOL:
         state.converged = True
         return state
     jac = residual_jacobian(ctx, state.z, res=state.residual)
     lam = state.lam
     trials = 0
-    while (config.lambda_min <= lam <= config.lambda_cap
+    while (LAMBDA_MIN <= lam <= LAMBDA_CAP
            and trials < config.max_line_search_trials):
         trials += 1
         try:
-            step = newton_step(ctx, state, config, jac=jac, lam=lam)
+            step = newton_step(ctx, state, jac=jac, lam=lam)
         except LinearSolveError:
-            lam *= config.ell
+            lam *= ELL
             continue
         # Never None: the residual was checked above and is unchanged.
         dz, cand = step
         if cand.norm < state.residual.norm:
-            state.prev_norm = state.residual.norm
             state.z = state.z + dz
             state.residual = cand
             state.last_trials = trials
-            state.lam = (max(config.lambda_min, lam / config.ell**2)
-                         if trials == 1 else lam)
+            state.lam = max(LAMBDA_MIN, lam / ELL**2) if trials == 1 else lam
             state.newton_steps_taken += 1
             return state
-        lam *= config.ell
+        lam *= ELL
     state.stalled = True
     state.last_trials = trials
     return state
@@ -281,30 +254,6 @@ def basin_hop(ctx: DrsContext, state: SsnState, config: SsnConfig) -> bool:
     return False
 
 
-def adaptive_lambda_update(prev_norm: float, new_norm: float, lam: float,
-                           config: SsnConfig) -> float:
-    """Post-acceptance damping schedule keyed to observed contraction.
-
-    The contraction is psi = prev_norm / new_norm (infinite when the new
-    residual is exactly zero).  Branches: psi >= alpha2 shrinks lambda
-    by sqrt(new_norm) clamped to the beta0 range, alpha1 <= psi < alpha2
-    multiplies by beta1, psi < alpha1 multiplies by beta2.  The result
-    always lies in [lambda_min, lambda_max].
-    """
-    for name, val in (("prev_norm", prev_norm), ("new_norm", new_norm),
-                      ("lambda", lam)):
-        if not np.isfinite(val) or val < 0.0:
-            raise ValueError(f"{name} must be finite and nonnegative, got {val}")
-    psi = math.inf if new_norm == 0.0 else prev_norm / new_norm
-    if psi >= config.alpha2:
-        beta0 = min(max(math.sqrt(new_norm), config.beta0_floor),
-                    config.beta0_ceil)
-        return max(config.lambda_min, beta0 * lam)
-    if psi >= config.alpha1:
-        return min(config.lambda_max, config.beta1 * lam)
-    return min(config.lambda_max, config.beta2 * lam)
-
-
 def drive_newton(ctx: DrsContext, state: SsnState, config: SsnConfig,
                  max_steps: int | None = None,
                  rows: list[TraceRow] | None = None,
@@ -318,16 +267,15 @@ def drive_newton(ctx: DrsContext, state: SsnState, config: SsnConfig,
     per accepted step (gap of the projected iterate, residual norm,
     current damping, seconds since ``clock_start``, which defaults to
     the call); row iterations count on from ``start_iteration``.  A
-    stalled line search first tries the support crossover
-    (``basin_hop``).  When it certifies, its exact profile counts as
-    one more step, and the loop top traces that row and ends the run,
-    so the last row's gap is the returned certificate.  Otherwise the
-    damping is re-seeded once by ``adaptive_lambda_update`` (when a
-    step has been accepted before) and the search retried; a retry that
-    stalls again, at the same point, ends the run stalled.  Returns the
+    stalled line search runs the support crossover (``basin_hop``)
+    once.  When it certifies, its exact profile counts as one more
+    step, and the loop top traces that row and ends the run, so the
+    last row's gap is the returned certificate.  Otherwise the run ends
+    stalled, with the state where the search left it.  Returns the
     number of accepted steps, the last gap certificate, and a flag:
     "target" when the gap certificate meets target_gap, "stalled" when
-    the line search gave up, "budget" when max_steps ran out.
+    the line search and the crossover gave up, "budget" when max_steps
+    ran out.
     """
     t0 = time.perf_counter() if clock_start is None else clock_start
     if max_steps is None:
@@ -351,17 +299,7 @@ def drive_newton(ctx: DrsContext, state: SsnState, config: SsnConfig,
             # A certified crossover moves the state to its exact profile,
             # which the loop top traces as one more step to end the run.
             if not basin_hop(ctx, state, config):
-                if not math.isfinite(state.prev_norm):
-                    return steps, cert, FLAG_STALLED
-                state.lam = adaptive_lambda_update(state.prev_norm,
-                                                   state.residual.norm,
-                                                   state.lam, config)
-                line_search_accept(ctx, state, config)
-                if state.stalled:
-                    # The point has not moved, so the crossover would
-                    # fail again.
-                    state.stalled = False
-                    return steps, cert, FLAG_STALLED
+                return steps, cert, FLAG_STALLED
         if state.converged:
             # Residual numerically zero: the projected point is an
             # equilibrium up to roundoff; certify and stop.

@@ -171,9 +171,7 @@ class TestSuiteEndToEnd:
         for seed in ("0", "1"):
             for method in ("prm-qa", "pssn-v2"):
                 rid = f"uniform-8x8-s{seed}-{method}"
-                for suffix in (".csv", ".gap_vs_time.csv",
-                               ".residual_vs_iter.csv"):
-                    assert os.path.exists(os.path.join(traces, rid + suffix))
+                assert os.path.exists(os.path.join(traces, rid + ".csv"))
 
     def test_trace_csv_matches_runs_csv(self, suite):
         _, out_dir = suite
@@ -185,28 +183,6 @@ class TestSuiteEndToEnd:
                                        "uniform-8x8-s0-pssn-v2.csv"))
         got = [(r["iteration"], r["phase"], r["duality_gap"]) for r in trace]
         assert got == want
-
-    def test_gap_vs_time_covers_every_checkpoint(self, suite):
-        _, out_dir = suite
-        trace = read_rows(os.path.join(out_dir, "traces",
-                                       "uniform-8x8-s1-prm-qa.csv"))
-        plot = read_rows(os.path.join(out_dir, "traces",
-                                      "uniform-8x8-s1-prm-qa.gap_vs_time.csv"))
-        assert len(plot) == len(trace)
-        assert [p["duality_gap"] for p in plot] \
-            == [t["duality_gap"] for t in trace]
-
-    def test_residual_vs_iter_holds_newton_rows_only(self, suite):
-        _, out_dir = suite
-        traces = os.path.join(out_dir, "traces")
-        pure_fo = read_lines(os.path.join(
-            traces, "uniform-8x8-s0-prm-qa.residual_vs_iter.csv"))
-        assert pure_fo == ["iteration,residual_norm"]
-        newton = read_rows(os.path.join(
-            traces, "uniform-8x8-s0-pssn-v2.residual_vs_iter.csv"))
-        assert len(newton) >= 1
-        norms = [float(r["residual_norm"]) for r in newton]
-        assert all(b < a for a, b in zip(norms, norms[1:]))
 
     def test_meta_json_records_the_configuration(self, suite):
         _, out_dir = suite
@@ -467,6 +443,20 @@ class TestSeedOffset:
                   "--seeds", "2..4", "--out-dir", str(out_dir)])
         assert exc.value.code == 2
         assert "seeds must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("offset, seeds", [
+        ("0", str(2**128)), (str(2**128 - 1), "0..1")])
+    def test_seed_past_the_key_limit_is_a_usage_error(
+            self, tmp_path, monkeypatch, capsys, offset, seeds):
+        monkeypatch.setenv("SADDLE_SSN_SEED_OFFSET", offset)
+        out_dir = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            main(["--n", "5", "--m", "5", "--methods", "eg",
+                  "--seeds", seeds, "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert f"seeds must be below 2**128, got {2**128}" in \
+            capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_offset_matches_directly_shifted_seeds(self, tmp_path, monkeypatch):

@@ -19,7 +19,6 @@ from saddle_ssn.hybrid import (
     run_hybrid,
 )
 from saddle_ssn.splitting import build_context, lift, residual
-from saddle_ssn.ssn import SsnConfig
 from saddle_ssn.trace import PHASE_FO, PHASE_SSN
 
 TILTED = np.array([[1.2, -1.0], [-1.0, 1.0]])
@@ -52,30 +51,19 @@ class TestHybridConfig:
         {"gamma": float("nan")},
         {"theta_update_period": 0},
         {"max_fo_iters": 0},
-        {"hpssn_probe_steps": 0},
         {"gap_check_period": 0},
-        {"hpssn_accept_factor": 1.0},
-        {"lambda0": 0.0},
-        {"lambda0": float("nan")},
-        {"lambda0": float("inf")},
-        {"hpssn_accept_factor": float("nan")},
-        {"hpssn_accept_factor": float("inf")},
+        {"variant": ""},
+        {"switch_gap_threshold": 0.0},
+        {"target_gap": float("nan")},
+        {"gamma": -1.0},
+        {"theta_update_period": -1},
+        {"max_fo_iters": -1},
+        {"gap_check_period": -1},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             HybridConfig(**kwargs)
 
-    def test_ssn_override_keeps_the_hybrid_target(self):
-        config = HybridConfig(target_gap=1e-9,
-                              ssn=SsnConfig(ell=2.0, target_gap=1e-3))
-        scfg = config.ssn_config()
-        assert scfg.ell == 2.0
-        assert scfg.target_gap == 1e-9
-
-    def test_default_ssn_constants_apply(self):
-        scfg = HybridConfig(target_gap=1e-10).ssn_config()
-        assert scfg.ell == 1.5
-        assert scfg.target_gap == 1e-10
 
 
 class TestPssnV1:
@@ -207,7 +195,7 @@ class TestHpssn:
         assert outcome.status == STATUS_CONVERGED
         assert outcome.certificate.gap <= 1e-12
         assert outcome.switch_iteration == 100
-        assert 1 <= outcome.newton_steps <= config.hpssn_probe_steps
+        assert 1 <= outcome.newton_steps <= hybrid.HPSSN_PROBE_STEPS
 
     def test_converges_on_medium_uniform_game(self):
         game = uniform_game(5, n=30, m=30)

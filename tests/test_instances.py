@@ -31,6 +31,12 @@ class TestInstanceSpec:
         with pytest.raises(ValueError):
             InstanceSpec(kind="normal", n=3, m=4, seed=-2)
 
+    def test_seeds_stay_below_the_philox_key_limit(self):
+        top = InstanceSpec(kind="uniform", n=2, m=2, seed=2**128 - 1)
+        assert generate(top).payoff.shape == (2, 2)
+        with pytest.raises(ValueError, match="below 2\\*\\*128"):
+            InstanceSpec(kind="uniform", n=2, m=2, seed=2**128)
+
     def test_file_kind_requires_a_path(self):
         InstanceSpec(kind="file", path="games/a.csv")
         with pytest.raises(ValueError):

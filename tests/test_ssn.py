@@ -10,13 +10,13 @@ from helpers import philox, random_game
 import saddle_ssn.ssn as ssn_module
 from saddle_ssn.game import (MatrixGame, StrategyProfile, duality_gap,
                              project_simplex)
+from saddle_ssn.hybrid import adaptive_lambda_update
 from saddle_ssn.splitting import build_context, lift, residual, restrict
 from saddle_ssn.ssn import (
     FLAG_BUDGET,
     FLAG_STALLED,
     FLAG_TARGET,
     SsnConfig,
-    adaptive_lambda_update,
     basin_hop,
     drive_newton,
     line_search_accept,
@@ -55,26 +55,17 @@ class TestSsnConfig:
         SsnConfig()
 
     @pytest.mark.parametrize("kwargs", [
-        {"ell": 1.0},
-        {"ell": 0.5},
-        {"lambda_min": 0.0},
-        {"lambda_min": 1e-3, "lambda_cap": 1e-6},
-        {"lambda_cap": 1e20, "lambda_max": 1e15},
-        {"alpha1": 0.0},
-        {"alpha1": 6.0, "alpha2": 5.0},
-        {"beta1": 1.0},
-        {"beta2": 0.9},
-        {"beta0_floor": 0.0},
-        {"beta0_floor": 0.95, "beta0_ceil": 0.9},
-        {"beta0_ceil": 1.0},
         {"max_newton_iters": 0},
         {"max_line_search_trials": 0},
         {"target_gap": -1e-9},
-        {"residual_zero_tol": -1.0},
-    ] + [{name: value} for name in (
-        "ell", "beta1", "beta2", "target_gap", "residual_zero_tol",
-        "lambda_min", "alpha1", "alpha2", "beta0_floor", "beta0_ceil")
-        for value in (math.nan, math.inf)])
+        {"target_gap": math.nan},
+        {"target_gap": math.inf},
+        {"max_newton_iters": -1},
+        {"max_line_search_trials": -1},
+        {"max_newton_iters": math.inf},
+        {"max_line_search_trials": math.nan},
+        {"target_gap": -math.inf},
+    ])
     def test_rejects_inconsistent_constants(self, kwargs):
         with pytest.raises(ValueError):
             SsnConfig(**kwargs)
@@ -88,7 +79,6 @@ class TestMakeState:
         assert state.lam == 2.5
         assert state.newton_steps_taken == 0
         assert state.residual.norm == residual(ctx, state.z).norm
-        assert math.isnan(state.prev_norm)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_initial_damping(self, lam):
@@ -101,21 +91,20 @@ class TestNewtonStep:
     def test_returns_none_at_numerical_fixed_point(self):
         ctx = build_context(MatrixGame.from_payoff(np.zeros((2, 3))), 1.0)
         state = make_state(ctx, StrategyProfile.uniform(2, 3).concatenated(), 1.0)
-        assert newton_step(ctx, state, SsnConfig()) is None
+        assert newton_step(ctx, state) is None
 
     def test_candidate_residual_is_evaluated_at_the_stepped_point(self):
         ctx = pennies_ctx()
         state = make_state(ctx, near_uniform_start(ctx), 1.0)
-        dz, cand = newton_step(ctx, state, SsnConfig())
+        dz, cand = newton_step(ctx, state)
         again = residual(ctx, state.z + dz)
         assert np.array_equal(cand.r, again.r)
 
     def test_heavier_damping_shortens_the_step(self):
         ctx = pennies_ctx()
         state = make_state(ctx, near_uniform_start(ctx), 1.0)
-        config = SsnConfig()
-        light, _ = newton_step(ctx, state, config, lam=1e-6)
-        heavy, _ = newton_step(ctx, state, config, lam=1e3)
+        light, _ = newton_step(ctx, state, lam=1e-6)
+        heavy, _ = newton_step(ctx, state, lam=1e3)
         assert np.linalg.norm(heavy) < np.linalg.norm(light)
 
 
@@ -125,13 +114,12 @@ class TestLineSearch:
         state = make_state(ctx, near_uniform_start(ctx), 1.0)
         r0 = state.residual.norm
         z0 = state.z.copy()
-        first_trial, _ = newton_step(ctx, state, SsnConfig())
+        first_trial, _ = newton_step(ctx, state)
         out = line_search_accept(ctx, state, SsnConfig())
         assert out is state
         assert not state.stalled and not state.converged
         assert state.last_trials == 1
         assert state.newton_steps_taken == 1
-        assert state.prev_norm == r0
         assert state.residual.norm < r0
         assert state.lam == max(1e-15, 1.0 / 1.5**2)
         assert np.array_equal(z0 + first_trial, state.z)
@@ -151,9 +139,9 @@ class TestLineSearch:
         ctx, state, config = rejection_prone_state(key=3)
         tried = []
 
-        def recording(ctx, state, config, jac=None, lam=None):
+        def recording(ctx, state, jac=None, lam=None):
             tried.append(lam)
-            return newton_step(ctx, state, config, jac=jac, lam=lam)
+            return newton_step(ctx, state, jac=jac, lam=lam)
 
         monkeypatch.setattr(ssn_module, "newton_step", recording)
         line_search_accept(ctx, state, config)
@@ -243,38 +231,30 @@ class TestProjectionCount:
 
 class TestAdaptiveDamping:
     def test_strong_contraction_shrinks_by_root_of_new_norm(self):
-        cfg = SsnConfig()
-        out = adaptive_lambda_update(1.0, 0.1, 1.0, cfg)
+        out = adaptive_lambda_update(1.0, 0.1, 1.0)
         assert out == math.sqrt(0.1)
 
     def test_strong_contraction_clamps_to_floor(self):
-        cfg = SsnConfig()
-        assert adaptive_lambda_update(1.0, 1e-6, 1.0, cfg) == 0.05
+        assert adaptive_lambda_update(1.0, 1e-6, 1.0) == 0.05
 
     def test_strong_contraction_clamps_to_ceiling(self):
-        cfg = SsnConfig()
-        assert adaptive_lambda_update(20.0, 4.0, 1.0, cfg) == 0.9
+        assert adaptive_lambda_update(20.0, 4.0, 1.0) == 0.9
 
     def test_moderate_contraction_doubles(self):
-        cfg = SsnConfig()
-        assert adaptive_lambda_update(1.0, 1.0, 3.0, cfg) == 6.0
+        assert adaptive_lambda_update(1.0, 1.0, 3.0) == 6.0
 
     def test_moderate_branch_includes_lower_threshold(self):
-        cfg = SsnConfig()
-        assert adaptive_lambda_update(1.0, 100.0, 1.0, cfg) == 2.0
+        assert adaptive_lambda_update(1.0, 100.0, 1.0) == 2.0
 
     def test_poor_progress_inflates_by_beta2(self):
-        cfg = SsnConfig()
-        assert adaptive_lambda_update(1.0, 500.0, 1.0, cfg) == 5.0
+        assert adaptive_lambda_update(1.0, 500.0, 1.0) == 5.0
 
     def test_result_clamped_into_hard_range(self):
-        cfg = SsnConfig()
-        assert adaptive_lambda_update(1.0, 1000.0, 4e14, cfg) == 1e15
-        assert adaptive_lambda_update(10.0, 1.0, 1e-15, cfg) == 1e-15
+        assert adaptive_lambda_update(1.0, 1000.0, 4e14) == 1e15
+        assert adaptive_lambda_update(10.0, 1.0, 1e-15) == 1e-15
 
     def test_zero_new_norm_counts_as_infinite_contraction(self):
-        cfg = SsnConfig()
-        assert adaptive_lambda_update(1.0, 0.0, 1.0, cfg) == 0.05
+        assert adaptive_lambda_update(1.0, 0.0, 1.0) == 0.05
 
     @pytest.mark.parametrize("args", [
         (-1.0, 1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, np.inf),
@@ -282,7 +262,7 @@ class TestAdaptiveDamping:
     def test_rejects_invalid_norms_or_damping(self, args):
         prev, new, lam = args
         with pytest.raises(ValueError):
-            adaptive_lambda_update(prev, new, lam, SsnConfig())
+            adaptive_lambda_update(prev, new, lam)
 
 
 def stalled_state():
@@ -324,7 +304,7 @@ class TestBasinHop:
 
     @pytest.fixture
     def recovery(self, monkeypatch):
-        """Record crossover and re-seed calls in order; the crossover
+        """Record crossover and line-search calls in order; the crossover
         certifies only while ``certify`` holds True."""
         events = []
         certify = [True]
@@ -333,33 +313,29 @@ class TestBasinHop:
             events.append("crossover")
             return certify[0] and basin_hop(ctx, state, config)
 
-        def reseed(*args):
-            events.append("reseed")
-            return adaptive_lambda_update(*args)
+        def search(ctx, state, config):
+            events.append("search")
+            return line_search_accept(ctx, state, config)
 
         monkeypatch.setattr(ssn_module, "basin_hop", crossover)
-        monkeypatch.setattr(ssn_module, "adaptive_lambda_update", reseed)
+        monkeypatch.setattr(ssn_module, "line_search_accept", search)
         return events, certify
 
-    def test_a_stall_tries_the_crossover_before_a_reseed(self, recovery):
+    def test_a_stall_runs_the_crossover_once(self, recovery):
         events, _ = recovery
         ctx, state = stalled_state()
         _, cert, flag = drive_newton(ctx, state, SsnConfig())
-        assert (flag, events) == (FLAG_TARGET, ["crossover"])
+        assert (flag, events) == (FLAG_TARGET, ["search", "crossover"])
         assert cert.gap <= 1e-12
 
-    def test_an_uncertified_stall_reseeds_once_and_ends(self, recovery):
-        # One trial per search, and a strong contraction behind the
-        # point, so the re-seed lightens the damping and the retry
-        # overshoots as the first search did.
+    def test_an_uncertified_stall_ends_the_run(self, recovery):
         events, certify = recovery
         certify[0] = False
         ctx, state, config = rejection_prone_state(max_trials=1, key=3)
-        state.prev_norm = 10.0 * state.residual.norm
         z = state.z.copy()
         steps, _, flag = drive_newton(ctx, state, config)
         assert (steps, flag) == (0, FLAG_STALLED)
-        assert events == ["crossover", "reseed"]
+        assert events == ["search", "crossover"]
         assert np.array_equal(state.z, z)
         assert not state.stalled
 
