@@ -41,6 +41,7 @@ from .baselines import FomConfig, extragradient_run, ogda_run
 from .game import MatrixGame
 from .hybrid import HybridConfig, run_hybrid
 from .instances import SEED_LIMIT, InstanceSpec, generate
+from .jacobian import _THREAD_VARS, hold_one_lane, newton_lanes, usable_cpus
 from .prm import SCHEME_LAST_ITERATE, SCHEME_QUADRATIC_AVG, run_prm
 from .trace import TraceRow
 
@@ -49,7 +50,6 @@ SEED_OFFSET_ENV = "SADDLE_SSN_SEED_OFFSET"
 METHODS = ("prm-li", "prm-qa", "eg", "ogda", "pssn-v1", "pssn-v2", "hpssn")
 HYBRID_METHODS = ("pssn-v1", "pssn-v2", "hpssn")
 
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TOLERANCES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 
 RUNS_HEADER = ("instance,seed,method,iteration,phase,duality_gap,"
@@ -211,20 +211,15 @@ def _parse_seeds(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _default_workers() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _numeric_env() -> dict:
-    """numpy version, its BLAS build, BLAS thread variables, usable CPUs."""
+def _numeric_env(lanes: int) -> dict:
+    """numpy version, its BLAS build, BLAS thread variables, usable CPUs,
+    and the lanes the runs' Newton line searches ran on."""
     blas = None
     if np.lib.NumpyVersion(np.__version__) >= "1.26.0":  # has dict mode
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": blas, "cpus": _default_workers(),
-            "threads": {v: os.environ.get(v) for v in _THREAD_VARS}}
+    return {"numpy": np.__version__, "blas": blas, "cpus": usable_cpus(),
+            "threads": {v: os.environ.get(v) for v in _THREAD_VARS},
+            "newton_lanes": lanes}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,13 +279,16 @@ def run_suite(args: argparse.Namespace) -> int:
                                 fo_budget=args.fo_budget,
                                 checkpoint_every=args.checkpoint_every))
 
-    workers = args.workers if args.workers else _default_workers()
+    workers = args.workers if args.workers else usable_cpus()
+    pooled = workers > 1 and len(runs) > 1
     t_start = time.perf_counter()
-    if workers > 1 and len(runs) > 1:
+    if pooled:
         # Imported here: a serial suite should not pay for loading
-        # multiprocessing.
+        # multiprocessing.  The workers already fill the cores, so each
+        # runs its line searches on one lane.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=hold_one_lane) as pool:
             outputs = list(pool.map(execute_run, runs))
     else:
         outputs = [execute_run(run) for run in runs]
@@ -328,7 +326,7 @@ def run_suite(args: argparse.Namespace) -> int:
         "statuses": {out.run_id: out.status for out in outputs},
         "failures": failures,
         "suite_wall_seconds": wall,
-        "numeric_env": _numeric_env(),
+        "numeric_env": _numeric_env(1 if pooled else newton_lanes()),
     }
     with open(os.path.join(args.out_dir, "meta.json"), "w",
               encoding="ascii") as fh:

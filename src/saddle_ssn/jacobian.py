@@ -24,11 +24,21 @@ context's SVD (see splitting), so S costs three scaled products with
 the active rows of the SVD factors, O(min(n, m) (kx + ky)^2), two of
 them symmetric rank-k products, and one LU factorization per trial
 through numpy's LAPACK; nothing of size n + m is factored.
+
+A line search may hand its next trial's solve to a second lane, a
+worker thread (``solve_ahead``), and ``newton_solve`` then returns that
+result.  Both lanes run the same pure solve on the same inputs, so the
+step is the same bits either way.  The lane runs only on systems large
+enough for numpy to release the GIL through the LU, in processes that
+may use two CPUs with BLAS pinned to one thread (``newton_lanes``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
+import os
+import threading
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -105,6 +115,9 @@ class ResidualJacobian:
     cols: np.ndarray
     left: np.ndarray
     right: np.ndarray
+    # A solve of this Jacobian running on the second lane (solve_ahead).
+    _ahead: object = field(default=None, init=False, repr=False,
+                           compare=False)
 
     @cached_property
     def index(self) -> np.ndarray:
@@ -162,8 +175,21 @@ def newton_solve(jac: ResidualJacobian, mu: float,
     g = M_mu^(-1) M r the step is dz = -(g - L_mu B S^(-1) B' g).  The
     solve is verified a posteriori on the original system; NaN
     contamination or an excessive backward error raises
-    LinearSolveError.
+    LinearSolveError.  When ``solve_ahead`` started this very solve
+    (same ``jac``, ``mu`` and ``res``), its result is taken instead,
+    and an error it raised is raised here.
     """
+    ahead = jac._ahead
+    if ahead is not None and ahead.mu == mu and ahead.res is res:
+        object.__setattr__(jac, "_ahead", None)
+        return ahead.result()
+    return _solve(jac, mu, res)
+
+
+def _solve(jac: ResidualJacobian, mu: float,
+           res: ResidualValue) -> np.ndarray:
+    # Runs on the second lane too, so it must not call what a profiler
+    # may wrap: resolve is spelled out as apply_spectral.
     if not np.isfinite(mu) or mu <= 0.0:
         raise ValueError(f"regularization mu must be positive, got {mu}")
     ctx, kx, ky = jac.ctx, jac.rows.size, jac.cols.size
@@ -198,9 +224,150 @@ def newton_solve(jac: ResidualJacobian, mu: float,
     if not np.isfinite(dz).all():
         raise LinearSolveError("Newton system produced non-finite step")
     d_dz = jac.scatter(jac.gather(dz))
-    lhs = d_dz - resolve(ctx, 2.0 * d_dz - dz) + mu * dz
+    lhs = (d_dz - apply_spectral(ctx, ctx.resolvent, 1.0, 2.0 * d_dz - dz)
+           + mu * dz)
     backward = np.linalg.norm(lhs + res.r)
     if backward > 1e-10 * (res.norm + 1.0):
         raise LinearSolveError(
             f"Newton system solve residual {backward:.3e} exceeds tolerance")
     return dz
+
+
+# The second lane.  A line search may start the solve of its next trial
+# on a worker thread while the calling thread solves the current one;
+# numpy drops the GIL inside BLAS and LAPACK, so the two solves run on
+# two cores.  But numpy keeps the GIL through np.linalg.solve unless
+# the system has more than 500 unknowns, so below _LANE_MIN_K = kx + ky
+# the two LUs take turns and the second lane costs more than it saves:
+# on uniform hybrids with one BLAS thread, lanes made the Newton phase
+# 12-15% slower at k = 475-492 and 22% faster at k = 540.  With more
+# than one BLAS thread, or a single usable CPU, the lanes would only
+# compete for the same cores.
+_LANE_MIN_K = 501
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Set in processes that already run one per core, such as a pool worker.
+_one_lane = False
+# The worker thread, made on first use.
+_lane = None
+_lane_lock = threading.Lock()
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def newton_lanes() -> int:
+    """Lanes large line searches run on in this process: 1 or 2.
+
+    Two when the process may run on at least two CPUs and every BLAS
+    thread variable that is set reads 1 (at least one must be set), and
+    ``hold_one_lane`` was not called.
+    """
+    if _one_lane:
+        return 1
+    values = [os.environ.get(v) for v in _THREAD_VARS]
+    pinned = any(values) and all(v in (None, "1") for v in values)
+    return 2 if pinned and usable_cpus() >= 2 else 1
+
+
+def hold_one_lane() -> None:
+    """Run every solve of this process on the calling thread."""
+    global _one_lane
+    _one_lane = True
+
+
+class _Ahead:
+    """One solve handed to the second lane, and its outcome."""
+
+    def __init__(self, jac: ResidualJacobian, mu: float, res: ResidualValue):
+        self.jac, self.mu, self.res = jac, mu, res
+        self._done = threading.Event()
+        self._value = self._error = None
+
+    def run(self) -> None:
+        try:
+            self._value = _solve(self.jac, self.mu, self.res)
+        except Exception as exc:  # noqa: BLE001 - raised when taken
+            self._error = exc
+        finally:
+            self._done.set()
+
+    def wait(self) -> None:
+        self._done.wait()
+
+    def result(self) -> np.ndarray:
+        self.wait()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+class _Lane:
+    """A daemon thread that runs handed-over solves in order.
+
+    One thread serves the process: a thread per hand-off measured the
+    same time, but one benchmark run in six peaked 7 MB higher, as a
+    new thread can start before the last one has given back its malloc
+    arena.
+    """
+
+    def __init__(self):
+        self._tasks = collections.deque()
+        self._ready = threading.Semaphore(0)
+        threading.Thread(target=self._serve, name="saddle-ssn-lane",
+                         daemon=True).start()
+
+    def submit(self, task: _Ahead) -> None:
+        self._tasks.append(task)
+        self._ready.release()
+
+    def _serve(self) -> None:
+        while True:
+            self._ready.acquire()
+            self._tasks.popleft().run()
+
+
+def _forget_lane() -> None:
+    # A forked child has no copy of the parent's worker thread, and a
+    # lock some other thread held at the fork stays held in the child.
+    global _lane, _lane_lock
+    _lane, _lane_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_lane)
+
+
+def solve_ahead(jac: ResidualJacobian, mu: float, res: ResidualValue) -> None:
+    """Start ``newton_solve(jac, mu, res)`` on the second lane, if it runs.
+
+    It runs when kx + ky is at least ``_LANE_MIN_K`` and the process
+    has two lanes (``newton_lanes``); otherwise this does nothing.  The
+    later ``newton_solve(jac, mu, res)`` takes the result, bit for bit
+    the one it would have computed.  Call ``join_ahead(jac)`` before
+    ``jac`` goes out of use.
+    """
+    global _lane
+    if jac.index.size < _LANE_MIN_K or newton_lanes() < 2:
+        return
+    join_ahead(jac)
+    # Fill both lazy caches here, so the two lanes only read them.
+    res.coords(jac.ctx)
+    ahead = _Ahead(jac, mu, res)
+    object.__setattr__(jac, "_ahead", ahead)
+    with _lane_lock:
+        if _lane is None:
+            _lane = _Lane()
+        _lane.submit(ahead)
+
+
+def join_ahead(jac: ResidualJacobian) -> None:
+    """Wait for a solve ``solve_ahead`` started on ``jac`` and drop it."""
+    ahead = jac._ahead
+    if ahead is not None:
+        object.__setattr__(jac, "_ahead", None)
+        ahead.wait()

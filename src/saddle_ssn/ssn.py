@@ -12,7 +12,10 @@ lambda by ``ELL`` squared, and a step that needed retries keeps the
 lambda it was accepted at, so the next search does not re-try the
 lighter damping that just failed.  The inner loop aborts once lambda
 leaves [LAMBDA_MIN, LAMBDA_CAP] or after a fixed number of trials,
-marking the state stalled.
+marking the state stalled.  On large systems the trials run in pairs:
+while the calling thread solves one trial, a second lane solves the
+next, which a rejection then takes instead of solving again (see
+jacobian.solve_ahead); the iterates are the same bits as on one lane.
 
 A stall is the signature of supports a coordinate or two off those of
 an equilibrium: near-degenerate games can park the iterate at a local
@@ -37,7 +40,8 @@ import numpy as np
 
 from .game import GapCertificate, StrategyProfile, duality_gap
 from .jacobian import (LinearSolveError, ResidualJacobian, boundary_margins,
-                       newton_solve, residual_jacobian)
+                       join_ahead, newton_solve, residual_jacobian,
+                       solve_ahead)
 from .splitting import DrsContext, ResidualValue, lift, residual, restrict
 from .trace import PHASE_SSN, TraceRow
 
@@ -137,6 +141,14 @@ def line_search_accept(ctx: DrsContext, state: SsnState,
     committed at.  If lambda leaves [LAMBDA_MIN, LAMBDA_CAP] or the
     trial budget runs out, the state is returned unchanged except for a
     stalled flag.
+
+    Trials run in pairs on large systems: trials 1, 3, 5, ... first
+    hand the solve of the next trial, at lambda * ``ELL``, to the second
+    lane (see ``jacobian.solve_ahead``), which does nothing unless the
+    process has one and the system is large.  A rejected trial's
+    successor then takes that result.  Every iterate, count and error
+    is the same as on one lane; the outstanding solve is joined before
+    the search returns.
     """
     if state.residual.norm <= RESIDUAL_ZERO_TOL:
         state.converged = True
@@ -144,24 +156,32 @@ def line_search_accept(ctx: DrsContext, state: SsnState,
     jac = residual_jacobian(ctx, state.z, res=state.residual)
     lam = state.lam
     trials = 0
-    while (LAMBDA_MIN <= lam <= LAMBDA_CAP
-           and trials < config.max_line_search_trials):
-        trials += 1
-        try:
-            step = newton_step(ctx, state, jac=jac, lam=lam)
-        except LinearSolveError:
+    budget = config.max_line_search_trials
+    try:
+        while LAMBDA_MIN <= lam <= LAMBDA_CAP and trials < budget:
+            trials += 1
+            if trials % 2 == 1 and trials < budget and lam * ELL <= LAMBDA_CAP:
+                # The same product newton_step forms for the next trial.
+                solve_ahead(jac, lam * ELL * state.residual.norm,
+                            state.residual)
+            try:
+                step = newton_step(ctx, state, jac=jac, lam=lam)
+            except LinearSolveError:
+                lam *= ELL
+                continue
+            # Never None: the residual was checked above and is unchanged.
+            dz, cand = step
+            if cand.norm < state.residual.norm:
+                state.z = state.z + dz
+                state.residual = cand
+                state.last_trials = trials
+                state.lam = (max(LAMBDA_MIN, lam / ELL**2) if trials == 1
+                             else lam)
+                state.newton_steps_taken += 1
+                return state
             lam *= ELL
-            continue
-        # Never None: the residual was checked above and is unchanged.
-        dz, cand = step
-        if cand.norm < state.residual.norm:
-            state.z = state.z + dz
-            state.residual = cand
-            state.last_trials = trials
-            state.lam = max(LAMBDA_MIN, lam / ELL**2) if trials == 1 else lam
-            state.newton_steps_taken += 1
-            return state
-        lam *= ELL
+    finally:
+        join_ahead(jac)
     state.stalled = True
     state.last_trials = trials
     return state

@@ -22,7 +22,8 @@ from saddle_ssn.cli import (
 )
 from saddle_ssn.game import MatrixGame
 from saddle_ssn.instances import InstanceSpec, load_matrix, save_matrix
-from saddle_ssn.cli import _default_workers, _parse_seeds
+from saddle_ssn.cli import _parse_seeds
+from saddle_ssn.jacobian import newton_lanes, usable_cpus
 from saddle_ssn.trace import PHASE_FO, PHASE_SSN, TraceRow
 
 RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
@@ -202,6 +203,8 @@ class TestSuiteEndToEnd:
         assert env["threads"]["OPENBLAS_NUM_THREADS"] == os.environ.get(
             "OPENBLAS_NUM_THREADS")
         assert env["cpus"] >= 1
+        # A serial suite's searches may use the second lane.
+        assert env["newton_lanes"] == newton_lanes()
         assert env["blas"] is None or "name" in env["blas"]
         resolved = meta["switch_threshold_resolved"]
         assert set(resolved.values()) == {0.1}
@@ -409,6 +412,19 @@ class TestStartUp:
                 if m == "scipy" or m.startswith("scipy.")] == []
         assert "concurrent.futures.process" not in loaded
 
+    def test_importing_the_cli_starts_no_thread(self):
+        # The Newton solver's second lane is a thread made on first use;
+        # start-up makes none, and loads no part of concurrent.futures.
+        probe = ("import sys, threading, saddle_ssn.cli; "
+                 "print(threading.active_count(), "
+                 "[m for m in sys.modules if m.startswith('concurrent')])")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["1", "[]"]
+
 
 class TestSeedOffset:
     def test_environment_offset_shifts_every_seed(self, tmp_path, monkeypatch):
@@ -478,9 +494,9 @@ class TestDefaultWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert _default_workers() == 3
+        assert usable_cpus() == 3
 
     def test_falls_back_to_the_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert _default_workers() == 6
+        assert usable_cpus() == 6
