@@ -78,22 +78,36 @@ def _run_fom(game: MatrixGame, config: FomConfig,
     eta = _resolve_step(game, config)
     a = game.payoff
     n = game.n
+    # Operator values and the pre-projection point live in buffers reused
+    # every iteration; each projection returns a fresh iterate.
+    f, f_prev, step, lagged = (np.empty(n + game.m) for _ in range(4))
 
-    def operator(z: np.ndarray) -> np.ndarray:
-        return np.concatenate([a @ z[n:], -(z[:n] @ a)])
+    def operator(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """F(z) = (Ay, -A'x), written into ``out``."""
+        np.matmul(a, z[n:], out=out[:n])
+        np.matmul(z[:n], a, out=out[n:])
+        np.negative(out[n:], out=out[n:])
+        return out
+
+    def descend(z: np.ndarray, scale: float, g: np.ndarray) -> np.ndarray:
+        """z - scale * g, written into ``step``."""
+        np.multiply(scale, g, out=step)
+        return np.subtract(z, step, out=step)
 
     z = StrategyProfile.uniform(game.n, game.m).concatenated()
-    f_prev = operator(z)  # only consumed by the optimistic update
+    operator(z, f_prev)  # only consumed by the optimistic update
 
     def advance(t: int) -> None:
-        nonlocal z, f_prev
+        nonlocal z, f, f_prev
         if kind == "eg":
-            z_half = project_pair(n, z - eta * operator(z))
-            z = project_pair(n, z - eta * operator(z_half))
+            z_half = project_pair(n, descend(z, eta, operator(z, f)))
+            z = project_pair(n, descend(z, eta, operator(z_half, f)))
         else:
-            f_cur = operator(z)
-            z = project_pair(n, z - 2.0 * eta * f_cur + eta * f_prev)
-            f_prev = f_cur
+            # (z - 2 eta F(z)) + eta F(z_prev), in the order written.
+            descend(z, 2.0 * eta, operator(z, f))
+            np.multiply(eta, f_prev, out=lagged)
+            z = project_pair(n, np.add(step, lagged, out=step))
+            f, f_prev = f_prev, f
 
     # The uniform start is certified as the renormalized stacked vector,
     # like every later iterate.

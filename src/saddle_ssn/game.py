@@ -124,7 +124,7 @@ class StrategyProfile:
 def _clean_strategy(v: np.ndarray, name: str) -> np.ndarray:
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a nonempty vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite coordinates")
     lo = v.min()
     if lo < -COORD_SLACK:
@@ -176,22 +176,56 @@ def project_simplex(p) -> np.ndarray:
     and clip at that threshold.  O(d log d), exact for exact arithmetic.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("projection input must be a nonempty vector")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("projection input contains non-finite coordinates")
-    u = np.sort(p)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, p.size + 1)
-    k = ks[u - css / ks > 0.0][-1]
-    tau = css[k - 1] / k
-    return np.maximum(p - tau, 0.0)
+    return _project_blocks(p, (p.size,))
 
 
 def project_pair(n: int, z) -> np.ndarray:
     """Blockwise simplex projection of a vector split at index n."""
     z = np.asarray(z, dtype=float)
-    return np.concatenate([project_simplex(z[:n]), project_simplex(z[n:])])
+    return _project_blocks(z, (n, z.size - n))
+
+
+def _project_blocks(z: np.ndarray, sizes: tuple) -> np.ndarray:
+    """Project consecutive blocks of z, of the given sizes, onto simplices.
+
+    The blocks go through one row-wise sort, running sum and threshold
+    search.  A shorter block is padded with -inf, which sorts last and
+    never passes the test.  Each row sums in the same sequential order
+    as a one-block ``cumsum``, and for finite values ``u > css / k`` is
+    exactly ``u - css / k > 0``, so every block gets the bits it would
+    get if projected on its own.
+    """
+    if z.ndim != 1 or min(sizes) < 1:
+        raise ValueError("projection input must be a nonempty vector")
+    if not np.isfinite(z).all():
+        raise ValueError("projection input contains non-finite coordinates")
+    blocks, width = len(sizes), max(sizes)
+    if blocks * width == z.size:
+        rows = z.reshape(blocks, width)
+    else:
+        rows = np.full((2, width), -np.inf)
+        rows[0, :sizes[0]] = z[:sizes[0]]
+        rows[1, :sizes[1]] = z[sizes[0]:]
+    u = np.sort(rows, axis=1)[:, ::-1]
+    css = np.add.accumulate(u, axis=1)
+    css -= 1.0
+    # css[k - 1] / k for every rank k; a block's threshold is its entry at
+    # the last rank that passes, as in a one-block ks[cond][-1].
+    means = css / np.arange(1, width + 1)
+    passes = u > means
+    out = np.empty(z.size)
+    start = 0
+    for row, back in enumerate(np.argmax(passes[:, ::-1], axis=1).tolist()):
+        last = width - 1 - back
+        # argmax also lands here when no rank passes, which happens once
+        # u_1 - 1 rounds to u_1 (|u_1| of about 2**53 or more).
+        if not passes[row, last]:
+            raise ValueError("projection input is too large to threshold")
+        end = start + sizes[row]
+        np.subtract(z[start:end], means[row, last], out=out[start:end])
+        start = end
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
 def project_product(game: MatrixGame, z) -> StrategyProfile:
@@ -201,8 +235,8 @@ def project_product(game: MatrixGame, z) -> StrategyProfile:
         raise ValueError(
             f"lifted point has dimension {z.shape[0]}, expected "
             f"{game.n + game.m}")
-    return StrategyProfile.from_vectors(project_simplex(z[:game.n]),
-                                        project_simplex(z[game.n:]))
+    p = project_pair(game.n, z)
+    return StrategyProfile.from_vectors(p[:game.n], p[game.n:])
 
 
 def saddle_operator(game: MatrixGame, z) -> np.ndarray:

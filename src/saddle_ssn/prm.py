@@ -16,6 +16,7 @@ matching, the gradient baselines and the hybrids all consume it.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -57,11 +58,13 @@ def next_strategy(state: RegretMatchingState,
     the result is theta normalized to the simplex, or uniform when
     theta is identically zero.  Does not mutate the state.
     """
-    theta = state.cum_regret + (prediction @ state.current) - prediction
+    theta = state.cum_regret + (prediction @ state.current)
+    np.subtract(theta, prediction, out=theta)
     np.maximum(theta, 0.0, out=theta)
     total = theta.sum()
     if total > 0.0:
-        return theta / total
+        theta /= total
+        return theta
     return np.full(state.current.size, 1.0 / state.current.size)
 
 
@@ -98,7 +101,8 @@ def alternating_round(game: MatrixGame, row: RegretMatchingState,
     y_new = next_strategy(col, col.last_loss if predictive
                           else np.zeros(game.m))
     observe_loss(row, a @ y_new, x_new)
-    observe_loss(col, -(x_new @ a), y_new)
+    col_loss = x_new @ a
+    observe_loss(col, np.negative(col_loss, out=col_loss), y_new)
     return x_new, y_new
 
 
@@ -115,7 +119,7 @@ class AverageAccumulator:
         return cls(weighted_x=np.zeros(n), weighted_y=np.zeros(m))
 
     def add(self, x: np.ndarray, y: np.ndarray, weight: float) -> None:
-        if weight <= 0.0 or not np.isfinite(weight):
+        if not 0.0 < weight < math.inf:
             raise ValueError(f"weight must be positive and finite, got {weight}")
         self.weighted_x += weight * x
         self.weighted_y += weight * y

@@ -29,6 +29,29 @@ def random_profile(rng: np.random.Generator, n: int, m: int) -> StrategyProfile:
     return StrategyProfile.from_vectors(x / x.sum(), y / y.sum())
 
 
+def reference_project_simplex(p) -> np.ndarray:
+    """The one-block sort-based projection, as the library wrote it before
+    its blockwise kernel; the kernel must reproduce its bits."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("projection input must be a nonempty vector")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("projection input contains non-finite coordinates")
+    u = np.sort(p)[::-1]
+    css = np.cumsum(u) - 1.0
+    ks = np.arange(1, p.size + 1)
+    k = ks[u - css / ks > 0.0][-1]
+    tau = css[k - 1] / k
+    return np.maximum(p - tau, 0.0)
+
+
+def reference_project_pair(n: int, z) -> np.ndarray:
+    """Blockwise reference: each block projected on its own."""
+    z = np.asarray(z, dtype=float)
+    return np.concatenate([reference_project_simplex(z[:n]),
+                           reference_project_simplex(z[n:])])
+
+
 def brute_force_gap(payoff: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """Duality gap by explicit enumeration of pure-strategy responses."""
     n, m = payoff.shape

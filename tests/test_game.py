@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import brute_force_gap, philox, random_game, random_profile
+from helpers import (brute_force_gap, philox, random_game, random_profile,
+                     reference_project_pair, reference_project_simplex)
 from saddle_ssn.game import (
     GapCertificate,
     MatrixGame,
@@ -217,6 +221,87 @@ class TestProjectSimplex:
             project_simplex(np.array([]))
         with pytest.raises(ValueError):
             project_simplex(np.array([1.0, np.nan]))
+
+
+@st.composite
+def scaled_vectors(draw, min_size=1):
+    """Vectors of 1..40 coordinates at a scale between 1e-8 and 1e3.
+
+    Half of them sit on a coarse grid, so that coordinates and partial
+    sums tie.
+    """
+    d = draw(st.integers(min_size, 40))
+    if draw(st.booleans()):
+        raw = draw(arrays(np.float64, d, elements=st.integers(-3, 3).map(float)))
+    else:
+        raw = draw(arrays(np.float64, d,
+                          elements=st.floats(-1.0, 1.0, allow_nan=False)))
+    return raw * 10.0 ** draw(st.floats(-8.0, 3.0))
+
+
+@st.composite
+def split_vectors(draw):
+    z = draw(scaled_vectors(min_size=2))
+    shape = draw(st.sampled_from(("any", "equal", "first one", "last one")))
+    n = {"any": draw(st.integers(1, z.size - 1)), "equal": z.size // 2,
+         "first one": 1, "last one": z.size - 1}[shape]
+    return n, z
+
+
+def raised(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestProjectionBits:
+    """The blockwise kernel against the one-block reference, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(scaled_vectors())
+    @example(np.array([0.6, 0.6, 0.6]))
+    @example(np.array([2.0, 2.0, 0.0, -1.0]))
+    def test_single_block_matches_the_reference(self, p):
+        assert (project_simplex(p).tobytes()
+                == reference_project_simplex(p).tobytes())
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(split_vectors())
+    @example((1, np.array([5.0, 0.5, 0.5])))
+    @example((2, np.array([0.25, 0.25, 0.25, 0.25])))
+    def test_pair_matches_the_reference(self, split):
+        n, z = split
+        assert (project_pair(n, z).tobytes()
+                == reference_project_pair(n, z).tobytes())
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(split_vectors(), st.sampled_from((np.nan, np.inf, -np.inf)),
+           st.integers(0, 39))
+    def test_non_finite_input_raises_the_same_error(self, split, bad, at):
+        n, z = split
+        z = z.copy()
+        z[at % z.size] = bad
+        assert (raised(project_pair, n, z)
+                == raised(reference_project_pair, n, z))
+        assert (raised(project_simplex, z)
+                == raised(reference_project_simplex, z))
+
+    def test_empty_blocks_raise_the_same_error(self):
+        z = np.array([0.5, 0.5])
+        assert (raised(project_simplex, z[:0])
+                == raised(reference_project_simplex, z[:0]))
+        for n in (0, 2, 3):
+            assert (raised(project_pair, n, z)
+                    == raised(reference_project_pair, n, z))
+
+    def test_coordinates_too_large_to_threshold_raise(self):
+        # No rank passes when u_1 - 1 rounds to u_1; the one-block code
+        # then indexed an empty array.
+        for p in ([1e17, 0.0], [-1e17, -1e17], [1e16, 1e16 - 2.0, 3.0]):
+            with pytest.raises(ValueError, match="too large"):
+                project_simplex(np.array(p))
+        with pytest.raises(ValueError, match="too large"):
+            project_pair(1, np.array([0.5, 1e17, 0.0]))
 
 
 class TestProductProjection:

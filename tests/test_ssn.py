@@ -1,15 +1,14 @@
 """Tests for the damped Newton iteration on the splitting residual."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
 
 from helpers import philox, random_game
+import saddle_ssn.game as game_module
 import saddle_ssn.ssn as ssn_module
-from saddle_ssn.game import (MatrixGame, StrategyProfile, duality_gap,
-                             project_simplex)
+from saddle_ssn.game import MatrixGame, StrategyProfile, duality_gap
 from saddle_ssn.hybrid import adaptive_lambda_update
 from saddle_ssn.splitting import build_context, lift, residual, restrict
 from saddle_ssn.ssn import (
@@ -188,17 +187,19 @@ class TestLineSearch:
 
 @pytest.fixture
 def projections(monkeypatch):
-    """Count simplex projections made through any saddle_ssn module."""
+    """Count simplex projections, one per block, made through any entry point.
+
+    ``project_simplex`` and ``project_pair`` both hand their blocks to one
+    kernel, so counting there sees every block however it was reached.
+    """
     calls = []
+    kernel = game_module._project_blocks
 
-    def counted(p):
-        calls.append(len(p))
-        return project_simplex(p)
+    def counted(z, sizes):
+        calls.extend(sizes)
+        return kernel(z, sizes)
 
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("saddle_ssn")
-                and getattr(module, "project_simplex", None) is project_simplex):
-            monkeypatch.setattr(module, "project_simplex", counted)
+    monkeypatch.setattr(game_module, "_project_blocks", counted)
     return calls
 
 
