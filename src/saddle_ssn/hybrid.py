@@ -1,34 +1,33 @@
-"""Hybrid schedules combining regret matching with the Newton solver.
+"""Hybrid schedules: regret matching, then Newton from the lifted average.
 
-Three variants, all starting from uniform strategies.  The splitting
-context (one thin SVD of the payoff) is built when Newton work first
-needs it, so a run that never leaves regret matching never pays for it:
+All three variants run one loop, ``run_hybrid``: averaged regret
+matching from uniform strategies, certified at each checkpoint, with
+Newton episodes started from the lifted running average.  An episode
+that certifies ends the run.  The variants differ in four places:
 
-* ``pssn-v1``: run averaged regret matching until the exact gap falls
-  under a switch threshold, then hand the lifted average to the Newton
-  solver with fixed initial damping.
-* ``pssn-v2``: as v1, but every ``theta_update_period`` rounds a trial
-  Newton direction is evaluated at the lifted running average and
-  discarded, keeping only its adaptive damping update
-  (``adaptive_lambda_update``), so the Newton phase starts with a tuned
-  damping parameter.
-* ``hpssn``: alternate.  Whenever the gap has halved since the last
-  Newton attempt, probe with ``HPSSN_PROBE_STEPS`` Newton steps; keep
-  going with Newton only if the probe cut the residual by
-  ``HPSSN_ACCEPT_FACTOR``, otherwise project back onto the simplices
-  and resume regret matching.
+* episode start: v1/v2 at the first checkpoint after round 0 at or
+  under ``switch_gap_threshold``; hpssn whenever the gap has halved
+  since the last probe (initially: since round 0);
+* Newton budget: v1/v2 ``max_newton_iters``; hpssn ``HPSSN_PROBE_STEPS``,
+  then the rest if the probe cut the residual by ``HPSSN_ACCEPT_FACTOR``;
+* uncertified episode: v1/v2 end the run; hpssn resumes regret matching
+  unperturbed, unless a second episode in a row ends at the same gap;
+* between rounds: every ``theta_update_period`` rounds v2 evaluates one
+  discarded Newton direction at the lifted average and keeps only its
+  damping update (``adaptive_lambda_update``).
 
-Every variant enters Newton at damping ``LAMBDA0`` (v2 then tunes it).
-
-Every returned profile is re-certified by a fresh duality-gap call, so
-the reported status never relies on stale solver bookkeeping.
+Newton starts at damping ``LAMBDA0`` (v2 tunes it), carried across
+episodes.  The splitting context (one thin SVD) is built at the first
+episode, or up front by v2 for its probes, so a run that never leaves
+regret matching never pays for it.  Every returned profile has a fresh
+certificate; a run that does not converge returns the best one.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .game import GapCertificate, MatrixGame, StrategyProfile, duality_gap
 from .prm import STATUS_BUDGET, STATUS_CONVERGED, checkpoints, regret_matching
@@ -43,14 +42,13 @@ VARIANT_SWITCH = "pssn-v1"
 VARIANT_TUNED = "pssn-v2"
 VARIANT_ALTERNATING = "hpssn"
 
-# Two hybrid cycles ending this close together are treated as no progress.
-_CYCLE_STALL_TOL = 1e-15
-
-# Damping at Newton entry, and hpssn's probe length and the residual
-# cut that commits a probe.
+# Damping at Newton entry; hpssn's probe length, the residual cut that
+# commits a probe, and the gap change under which two episodes in a row
+# count as no progress.
 LAMBDA0 = 1.0
 HPSSN_PROBE_STEPS = 5
 HPSSN_ACCEPT_FACTOR = 10.0
+_CYCLE_STALL_TOL = 1e-15
 
 # The damping tuner's hard ceiling, contraction thresholds, inflation
 # factors, and the clamp of its strong-contraction shrink factor.
@@ -67,12 +65,11 @@ _BETA0_CEIL = 0.9
 class HybridConfig:
     """Schedule parameters shared by the hybrid variants.
 
-    ``switch_gap_threshold`` hands over to Newton (v1/v2) or arms the
-    first probe comparison (hpssn, via gap halving).  ``gap_check_period``
-    is the first-order checkpoint cadence; exact gaps are only computed
-    at checkpoints.  ``gamma`` is the splitting parameter; None scales
-    it to the payoff (see ``build_context``).  The Newton phase runs
-    with ``SsnConfig``'s budgets and ``target_gap``.
+    ``switch_gap_threshold`` hands v1/v2 over to Newton.
+    ``gap_check_period`` is the first-order checkpoint cadence; exact
+    gaps are only computed at checkpoints.  ``gamma`` is the splitting
+    parameter; None scales it to the payoff (see ``build_context``).
+    Newton runs with ``SsnConfig``'s budgets and ``target_gap``.
     """
 
     switch_gap_threshold: float = 1e-2
@@ -106,8 +103,9 @@ class HybridOutcome:
     """Final profile with a fresh certificate, status, and full trace.
 
     ``switch_iteration`` is the trace iteration at which the first
-    Newton phase began, or None if the first-order budget ran out
-    first.  ``newton_steps`` counts accepted Newton steps overall.
+    Newton episode began, or None if the run never left regret
+    matching.  ``newton_steps`` counts accepted Newton steps overall,
+    and ``iterations`` is the iteration of the last trace row.
     """
 
     profile: StrategyProfile
@@ -121,33 +119,31 @@ class HybridOutcome:
 
 def pssn_v1(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
     """One-time switch from regret matching to Newton at fixed damping."""
-    return _run_pssn(game, config, tuned=False)
+    return run_hybrid(game, replace(config, variant=VARIANT_SWITCH))
 
 
 def pssn_v2(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
     """One-time switch with damping warm-tuned during the first phase."""
-    return _run_pssn(game, config, tuned=True)
+    return run_hybrid(game, replace(config, variant=VARIANT_TUNED))
+
+
+def hpssn(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
+    """Alternate between regret matching and probing Newton episodes."""
+    return run_hybrid(game, replace(config, variant=VARIANT_ALTERNATING))
 
 
 def run_hybrid(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
-    """Dispatch on ``config.variant``."""
-    if config.variant == VARIANT_SWITCH:
-        return pssn_v1(game, config)
-    if config.variant == VARIANT_TUNED:
-        return pssn_v2(game, config)
-    return hpssn(game, config)
-
-
-def _run_pssn(game: MatrixGame, config: HybridConfig,
-              tuned: bool) -> HybridOutcome:
+    """Run the ``config.variant`` schedule (see the module notes)."""
     t0 = time.perf_counter()
-    # The tuned variant probes damping during regret matching; v1 first
-    # needs the context at the switch.
-    ctx = build_context(game, config.gamma) if tuned else None
+    alternating = config.variant == VARIANT_ALTERNATING
+    tuned = config.variant == VARIANT_TUNED
     scfg = SsnConfig(target_gap=config.target_gap)
+    ctx = build_context(game, config.gamma) if tuned else None
     play, average = regret_matching(game)
     rows: list[TraceRow] = []
     lam = LAMBDA0
+    newton_total = extra_rows = 0
+    switch_iter = prev_episode_gap = None
 
     def advance(t: int) -> None:
         nonlocal lam
@@ -155,43 +151,68 @@ def _run_pssn(game: MatrixGame, config: HybridConfig,
         if tuned and t % config.theta_update_period == 0:
             lam = _tune_damping(ctx, average(), lam)
 
+    def outcome(profile, cert, status) -> HybridOutcome:
+        return HybridOutcome(profile, cert, status, switch_iter, newton_total,
+                             rows[-1].iteration, rows)
+
     for t, profile, cert in checkpoints(
             game, StrategyProfile.uniform(game.n, game.m), advance, average,
             config.max_fo_iters, config.gap_check_period):
-        rows.append(TraceRow(t, PHASE_FO, cert.gap,
+        # Each Newton episode shifts the trace numbering of later rows.
+        rows.append(TraceRow(t + extra_rows, PHASE_FO, cert.gap,
                              elapsed=time.perf_counter() - t0))
+        if t == 0:
+            best, best_cert, probe_ref_gap = profile, cert, cert.gap
+        elif cert.gap < best_cert.gap:
+            best, best_cert = profile, cert
         if cert.gap <= config.target_gap:
-            return HybridOutcome(profile, cert, STATUS_CONVERGED, None, 0, t,
-                                 rows)
-        # The uniform start never switches, however small its gap.
-        if t > 0 and cert.gap <= config.switch_gap_threshold:
-            break
-    else:
-        return HybridOutcome(profile, cert, STATUS_BUDGET, None, 0,
-                             config.max_fo_iters, rows)
+            return outcome(profile, cert, STATUS_CONVERGED)
+        # The uniform start never starts an episode, however small its gap.
+        if t == 0 or cert.gap > (probe_ref_gap / 2.0 if alternating
+                                 else config.switch_gap_threshold):
+            continue
 
-    switch_iter = t
-    if ctx is None:
-        ctx = build_context(game, config.gamma)
-    state = make_state(ctx, lift(ctx, profile), lam)
-    steps, _, _ = drive_newton(ctx, state, scfg, scfg.max_newton_iters,
-                               rows, t0, switch_iter)
-    final = state.profile(ctx)
-    cert = duality_gap(game, final)
-    status = (STATUS_CONVERGED if cert.gap <= config.target_gap
-              else STATUS_SSN_STALLED)
-    return HybridOutcome(final, cert, status, switch_iter, steps,
-                         switch_iter + steps, rows)
+        # A Newton episode from the lifted running average.
+        probe_ref_gap = cert.gap
+        if switch_iter is None:
+            switch_iter = rows[-1].iteration
+            if ctx is None:
+                ctx = build_context(game, config.gamma)
+        state = make_state(ctx, lift(ctx, profile), lam)
+        entry_norm = state.residual.norm
+        steps, _, flag = drive_newton(
+            ctx, state, scfg,
+            HPSSN_PROBE_STEPS if alternating else scfg.max_newton_iters,
+            rows, t0, rows[-1].iteration)
+        if (alternating and flag == FLAG_BUDGET
+                and state.residual.norm <= entry_norm / HPSSN_ACCEPT_FACTOR):
+            more, _, flag = drive_newton(ctx, state, scfg,
+                                         scfg.max_newton_iters - steps, rows,
+                                         t0, rows[-1].iteration)
+            steps += more
+        newton_total += steps
+        extra_rows = rows[-1].iteration - t
+        lam = state.lam
+        episode = state.profile(ctx)
+        episode_cert = duality_gap(game, episode)
+        if episode_cert.gap < best_cert.gap:
+            best, best_cert = episode, episode_cert
+        if flag == FLAG_TARGET:
+            return outcome(episode, episode_cert, STATUS_CONVERGED)
+        if not alternating or (prev_episode_gap is not None and abs(
+                episode_cert.gap - prev_episode_gap) <= _CYCLE_STALL_TOL):
+            return outcome(best, best_cert, STATUS_SSN_STALLED)
+        prev_episode_gap = episode_cert.gap
+
+    return outcome(best, best_cert, STATUS_BUDGET)
 
 
 def _tune_damping(ctx, profile: StrategyProfile, lam: float) -> float:
     """Evaluate one discarded Newton direction to refresh the damping."""
     state = make_state(ctx, lift(ctx, profile), lam)
     trial = newton_step(ctx, state)
-    if trial is None:
-        return lam
-    _, cand = trial
-    return adaptive_lambda_update(state.residual.norm, cand.norm, lam)
+    return lam if trial is None else adaptive_lambda_update(
+        state.residual.norm, trial[1].norm, lam)
 
 
 def adaptive_lambda_update(prev_norm: float, new_norm: float,
@@ -216,84 +237,3 @@ def adaptive_lambda_update(prev_norm: float, new_norm: float,
     if psi >= _ALPHA1:
         return min(_LAMBDA_MAX, _BETA1 * lam)
     return min(_LAMBDA_MAX, _BETA2 * lam)
-
-
-def hpssn(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
-    """Alternate between regret matching and probing Newton episodes.
-
-    A probe fires at the first checkpoint whose gap is at most half the
-    gap at the previous probe (initially: half the starting gap).  The
-    probe runs up to ``HPSSN_PROBE_STEPS`` accepted Newton steps from
-    the lifted average; if it cuts the residual norm by at least
-    ``HPSSN_ACCEPT_FACTOR`` it keeps the Newton iteration running to
-    the target, otherwise the Newton point is projected back and regret
-    matching resumes unperturbed.  The damping parameter carries across
-    episodes.  Two consecutive episodes ending at gaps equal to within
-    1e-15 report ``ssn_stalled``.
-    """
-    t0 = time.perf_counter()
-    scfg = SsnConfig(target_gap=config.target_gap)
-    advance, average = regret_matching(game)
-    rows: list[TraceRow] = []
-    lam = LAMBDA0
-    newton_total = 0
-    # Each Newton episode shifts the trace numbering of later rows.
-    extra_rows = 0
-    switch_iter = None
-    prev_episode_gap = None
-    best = best_cert = None
-    for t, profile, cert in checkpoints(
-            game, StrategyProfile.uniform(game.n, game.m), advance, average,
-            config.max_fo_iters, config.gap_check_period):
-        rows.append(TraceRow(t + extra_rows, PHASE_FO, cert.gap,
-                             elapsed=time.perf_counter() - t0))
-        if best_cert is None or cert.gap < best_cert.gap:
-            best, best_cert = profile, cert
-        if cert.gap <= config.target_gap:
-            return HybridOutcome(profile, cert, STATUS_CONVERGED,
-                                 switch_iter, newton_total, t + extra_rows,
-                                 rows)
-        if t == 0:
-            probe_ref_gap = cert.gap
-        if cert.gap > probe_ref_gap / 2.0:
-            continue
-
-        # Newton probe episode from the lifted running average.
-        probe_ref_gap = cert.gap
-        if switch_iter is None:  # first probe: build the context now
-            switch_iter = t + extra_rows
-            ctx = build_context(game, config.gamma)
-        state = make_state(ctx, lift(ctx, profile), lam)
-        entry_norm = state.residual.norm
-        steps, ep_cert, flag = drive_newton(ctx, state, scfg,
-                                            HPSSN_PROBE_STEPS, rows, t0,
-                                            t + extra_rows)
-        extra_rows += steps + 1
-        newton_total += steps
-        committed = (flag == FLAG_BUDGET
-                     and state.residual.norm
-                     <= entry_norm / HPSSN_ACCEPT_FACTOR)
-        if committed:
-            more, ep_cert, flag = drive_newton(
-                ctx, state, scfg, scfg.max_newton_iters - steps, rows, t0,
-                t + extra_rows)
-            extra_rows += more + 1
-            newton_total += more
-        lam = state.lam
-        episode_profile = state.profile(ctx)
-        ep_cert = duality_gap(game, episode_profile)
-        if ep_cert.gap < best_cert.gap:
-            best, best_cert = episode_profile, ep_cert
-        if flag == FLAG_TARGET:
-            return HybridOutcome(episode_profile, ep_cert, STATUS_CONVERGED,
-                                 switch_iter, newton_total, t + extra_rows,
-                                 rows)
-        if (prev_episode_gap is not None
-                and abs(ep_cert.gap - prev_episode_gap) <= _CYCLE_STALL_TOL):
-            return HybridOutcome(best, best_cert, STATUS_SSN_STALLED,
-                                 switch_iter, newton_total, t + extra_rows,
-                                 rows)
-        prev_episode_gap = ep_cert.gap
-
-    return HybridOutcome(best, best_cert, STATUS_BUDGET, switch_iter,
-                         newton_total, config.max_fo_iters + extra_rows, rows)

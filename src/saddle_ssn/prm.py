@@ -84,22 +84,19 @@ def observe_loss(state: RegretMatchingState, loss: np.ndarray,
 
 
 def alternating_round(game: MatrixGame, row: RegretMatchingState,
-                      col: RegretMatchingState, predictive: bool = True,
+                      col: RegretMatchingState
                       ) -> tuple[np.ndarray, np.ndarray]:
     """One alternating update of both players; mutates both states.
 
     The row player minimizes, so its loss vector is A y; the column
     player maximizes, so its loss is -A'x.  Strategies update in order
     (row first, then column), each predicting its previous observed
-    loss (zero when ``predictive`` is off).  Both losses are then
-    measured against the opponent's updated strategy, so predictions
-    lag a single update.
+    loss.  Both losses are then measured against the opponent's updated
+    strategy, so predictions lag a single update.
     """
     a = game.payoff
-    x_new = next_strategy(row, row.last_loss if predictive
-                          else np.zeros(game.n))
-    y_new = next_strategy(col, col.last_loss if predictive
-                          else np.zeros(game.m))
+    x_new = next_strategy(row, row.last_loss)
+    y_new = next_strategy(col, col.last_loss)
     observe_loss(row, a @ y_new, x_new)
     col_loss = x_new @ a
     observe_loss(col, np.negative(col_loss, out=col_loss), y_new)

@@ -1,5 +1,8 @@
 """Tests for the hybrid first-order/Newton schedules."""
 
+import hashlib
+import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +10,12 @@ import pytest
 
 from helpers import lp_value, philox
 from saddle_ssn import hybrid
-from saddle_ssn.game import MatrixGame, duality_gap, estimate_spectral_norm
+from saddle_ssn.game import (MatrixGame, StrategyProfile, duality_gap,
+                             estimate_spectral_norm)
 from saddle_ssn.hybrid import (
     STATUS_BUDGET,
     STATUS_CONVERGED,
+    STATUS_SSN_STALLED,
     HybridConfig,
     HybridOutcome,
     hpssn,
@@ -19,10 +24,14 @@ from saddle_ssn.hybrid import (
     run_hybrid,
 )
 from saddle_ssn.splitting import build_context, lift, residual
+from saddle_ssn.ssn import FLAG_STALLED, drive_newton
 from saddle_ssn.trace import PHASE_FO, PHASE_SSN
 
 TILTED = np.array([[1.2, -1.0], [-1.0, 1.0]])
 RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+# Rock-paper-scissors with a fourth column just under the first.
+RPS_MINUS = np.column_stack([RPS, RPS[:, 0] - 1e-3])
+VARIANTS = ("pssn-v1", "pssn-v2", "hpssn")
 
 
 def uniform_game(seed, n=100, m=100):
@@ -378,3 +387,133 @@ class TestWarmStartQuality:
         entry = ssn_rows(outcome.trace)[0]
         bound = 10.0 * (1.0 + estimate_spectral_norm(game.payoff)) * np.sqrt(fo[-1].gap)
         assert entry.residual_norm <= bound
+
+
+def golden_runs():
+    """Six hybrid runs: each variant on a 30x40 uniform game, and on the
+    RPS - 1e-3 game, where hpssn rolls back two probes before its third
+    commits."""
+    games = {"uniform-30x40": uniform_game(0, n=30, m=40),
+             "rps-1e-3": MatrixGame.from_payoff(RPS_MINUS)}
+    configs = {"pssn-v1": HybridConfig(),
+               "pssn-v2": HybridConfig(variant="pssn-v2",
+                                       theta_update_period=100),
+               "hpssn": HybridConfig(variant="hpssn")}
+    return {f"{g}/{c}": (games[g], configs[c]) for g in games for c in configs}
+
+
+def golden_record(outcome):
+    """Everything a golden run pins except timing and ``iterations``."""
+    profile = outcome.profile
+    return {
+        "status": outcome.status,
+        "switch_iteration": outcome.switch_iteration,
+        "newton_steps": outcome.newton_steps,
+        "profile_sha256": hashlib.sha256(
+            profile.x.tobytes() + profile.y.tobytes()).hexdigest(),
+        "rows": [f"{r.iteration} {r.phase} {r.gap.hex()} "
+                 f"{r.residual_norm.hex()} {r.damping.hex()}"
+                 for r in outcome.trace],
+    }
+
+
+# Recorded before the three variants shared one checkpoint loop, with
+# numpy's OpenBLAS at one thread (as conftest pins it).  The loop keeps
+# every operation and its order, so each run reproduces bit for bit.
+with open(os.path.join(os.path.dirname(__file__),
+                       "golden_hybrid_runs.json"), encoding="ascii") as _fh:
+    GOLDEN = json.load(_fh)
+
+
+class TestGoldenRuns:
+    @pytest.mark.parametrize("name", sorted(golden_runs()))
+    def test_run_reproduces_its_recorded_bits(self, name):
+        game, config = golden_runs()[name]
+        assert golden_record(run_hybrid(game, config)) == GOLDEN[name]
+
+
+def stalled_newton(monkeypatch, park=False):
+    """Make every Newton episode trace its entry row and report a stall;
+    with ``park`` the state first moves to the lifted uniform profile, so
+    every episode ends at the same gap."""
+    def fake(ctx, state, config, max_steps=None, rows=None,
+             clock_start=None, start_iteration=0):
+        if park:
+            state.z = lift(ctx, StrategyProfile.uniform(ctx.game.n,
+                                                        ctx.game.m))
+            state.residual = residual(ctx, state.z)
+        steps, cert, _ = drive_newton(ctx, state, config, 0, rows,
+                                      clock_start, start_iteration)
+        return steps, cert, FLAG_STALLED
+
+    monkeypatch.setattr(hybrid, "drive_newton", fake)
+
+
+def assert_best_certified(game, outcome):
+    """The profile is the run's best: its fresh gap is the trace minimum."""
+    gap = outcome.certificate.gap
+    assert gap == duality_gap(game, outcome.profile).gap
+    assert gap == min(row.gap for row in outcome.trace)
+
+
+def budget_config(variant):
+    """A first-order budget too short to reach a 1e-9 switch on RPS_MINUS;
+    hpssn probes once on the way and rolls the probe back."""
+    return HybridConfig(variant=variant, switch_gap_threshold=1e-9,
+                        max_fo_iters=250)
+
+
+class TestStalledExits:
+    @pytest.mark.parametrize("variant", ["pssn-v1", "pssn-v2"])
+    def test_switch_variants_end_after_their_one_episode(self, monkeypatch,
+                                                         variant):
+        stalled_newton(monkeypatch)
+        game = uniform_game(0, n=30, m=40)
+        outcome = run_hybrid(game, HybridConfig(variant=variant))
+        assert outcome.status == STATUS_SSN_STALLED
+        phases = [row.phase for row in outcome.trace]
+        assert phases[-1] == PHASE_SSN and phases.count(PHASE_SSN) == 1
+        assert outcome.switch_iteration == outcome.trace[-2].iteration > 0
+        assert outcome.newton_steps == 0
+        assert_best_certified(game, outcome)
+
+    def test_hpssn_stalls_on_two_episodes_ending_at_one_gap(self,
+                                                            monkeypatch):
+        stalled_newton(monkeypatch, park=True)
+        game = uniform_game(0, n=30, m=40)
+        outcome = hpssn(game, HybridConfig(variant="hpssn"))
+        assert outcome.status == STATUS_SSN_STALLED
+        ssn = ssn_rows(outcome.trace)
+        assert len(ssn) == 2 and ssn[0].gap == ssn[1].gap
+        assert outcome.trace[-1] is ssn[1]
+        # The best profile is the checkpoint that fired the second probe.
+        assert outcome.certificate.gap == outcome.trace[-2].gap < ssn[0].gap
+        assert_best_certified(game, outcome)
+
+
+class TestOutcomeFields:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("exit_", ["converged", "budget", "stalled"])
+    def test_iterations_is_the_last_row_iteration(self, monkeypatch, variant,
+                                                  exit_):
+        game = MatrixGame.from_payoff(RPS_MINUS)
+        config = HybridConfig(variant=variant)
+        if exit_ == "budget":
+            config = budget_config(variant)
+        elif exit_ == "stalled":
+            stalled_newton(monkeypatch, park=True)
+            game = uniform_game(0, n=30, m=40)
+        outcome = run_hybrid(game, config)
+        status = {"converged": STATUS_CONVERGED, "budget": STATUS_BUDGET,
+                  "stalled": STATUS_SSN_STALLED}[exit_]
+        assert outcome.status == status
+        assert outcome.iterations == outcome.trace[-1].iteration
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_budget_exit_returns_the_best_checkpoint(self, variant):
+        game = MatrixGame.from_payoff(RPS_MINUS)
+        outcome = run_hybrid(game, budget_config(variant))
+        assert outcome.status == STATUS_BUDGET
+        # The last checkpoint is not the best one on this game.
+        assert outcome.trace[-1].gap > outcome.certificate.gap
+        assert_best_certified(game, outcome)

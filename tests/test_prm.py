@@ -21,12 +21,12 @@ PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 TILTED = np.array([[1.2, -1.0], [-1.0, 1.0]])
 
 
-def reference_round(payoff, row, col, predictive):
+def reference_round(payoff, row, col):
     """Loop-based mirror of one alternating update, for cross-checking."""
     n, m = payoff.shape
 
     def propose(state, dim):
-        pred = state.last_loss if predictive else np.zeros(dim)
+        pred = state.last_loss
         shift = sum(pred[i] * state.current[i] for i in range(dim))
         theta = [max(state.cum_regret[i] + shift - pred[i], 0.0)
                  for i in range(dim)]
@@ -135,8 +135,7 @@ class TestAlternatingRound:
             assert np.array_equal(x_new, np.full(3, 1.0 / 3.0))
             assert np.array_equal(y_new, np.full(4, 0.25))
 
-    @pytest.mark.parametrize("predictive", [True, False])
-    def test_matches_reference_loops(self, predictive):
+    def test_matches_reference_loops(self):
         rng = philox(83)
         game = random_game(rng, 3, 4, kind="normal")
         row = RegretMatchingState.uniform(3)
@@ -144,8 +143,8 @@ class TestAlternatingRound:
         ref_row = RegretMatchingState.uniform(3)
         ref_col = RegretMatchingState.uniform(4)
         for _ in range(20):
-            got = alternating_round(game, row, col, predictive=predictive)
-            want = reference_round(game.payoff, ref_row, ref_col, predictive)
+            got = alternating_round(game, row, col)
+            want = reference_round(game.payoff, ref_row, ref_col)
             for a, b in zip(got, want):
                 assert np.allclose(a, b, atol=1e-12)
             assert np.allclose(row.cum_regret, ref_row.cum_regret, atol=1e-12)
