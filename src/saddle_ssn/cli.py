@@ -48,7 +48,8 @@ from .trace import TraceRow
 SEED_OFFSET_ENV = "SADDLE_SSN_SEED_OFFSET"
 
 METHODS = ("prm-li", "prm-qa", "eg", "ogda", "pssn-v1", "pssn-v2", "hpssn")
-HYBRID_METHODS = ("pssn-v1", "pssn-v2", "hpssn")
+# Hybrids that switch at the threshold; hpssn probes on gap halving.
+SWITCH_METHODS = ("pssn-v1", "pssn-v2")
 
 TOLERANCES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 3 / the payoff's largest singular "
                         "value)")
     p.add_argument("--switch-threshold", type=float, default=None,
-                   help="gap at which hybrids hand over to Newton "
+                   help="gap at which pssn-v1/v2 hand over to Newton "
                         "(default: by instance family and size)")
     p.add_argument("--target", type=float, default=1e-12,
                    help="duality gap to certify (default: 1e-12)")
@@ -376,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
             and not args.target < args.switch_threshold < math.inf):
         parser.error("--switch-threshold must be finite and exceed --target, "
                      f"got {args.switch_threshold}")
-    hybrids = [m for m in args.method_list if m in HYBRID_METHODS]
+    hybrids = [m for m in args.method_list if m in SWITCH_METHODS]
     if hybrids and args.switch_threshold is None:
         threshold = default_switch_threshold(
             InstanceSpec(kind=args.kind, n=args.n, m=args.m, path=args.path))

@@ -65,7 +65,7 @@ _BETA0_CEIL = 0.9
 class HybridConfig:
     """Schedule parameters shared by the hybrid variants.
 
-    ``switch_gap_threshold`` hands v1/v2 over to Newton.
+    ``switch_gap_threshold`` hands v1/v2 over to Newton; hpssn ignores it.
     ``gap_check_period`` is the first-order checkpoint cadence; exact
     gaps are only computed at checkpoints.  ``gamma`` is the splitting
     parameter; None scales it to the payoff (see ``build_context``).
@@ -84,10 +84,11 @@ class HybridConfig:
         if self.variant not in (VARIANT_SWITCH, VARIANT_TUNED,
                                 VARIANT_ALTERNATING):
             raise ValueError(f"unknown hybrid variant {self.variant!r}")
-        if not 0.0 <= self.target_gap < self.switch_gap_threshold:
-            raise ValueError(
-                f"target gap {self.target_gap} must be below the switch "
-                f"threshold {self.switch_gap_threshold}")
+        bound = (math.inf if self.variant == VARIANT_ALTERNATING
+                 else self.switch_gap_threshold)
+        if not 0.0 <= self.target_gap < bound:
+            raise ValueError(f"target gap {self.target_gap} must be in "
+                             f"[0, {bound}) for {self.variant}")
         # Checked here in full, since the context that would also reject
         # it is built only when Newton work starts.
         if self.gamma is not None and not 0.0 < self.gamma < math.inf:

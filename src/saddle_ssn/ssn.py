@@ -20,13 +20,12 @@ jacobian.solve_ahead); the iterates are the same bits as on one lane.
 A stall is the signature of supports a coordinate or two off those of
 an equilibrium: near-degenerate games can park the iterate at a local
 minimum of the residual norm whose affine piece has no root.  So a
-stall runs an exact support crossover (see basin_hop): it solves the
-small equalizing systems on the current supports, their one-swap
-neighbours and, failing those, same-player exchanges, as LP crossover
-does after an interior or first-order method.  If no candidate
-certifies, the run ends stalled.  Termination is by exact duality gap
-of the projected iterate, not by residual norm, so the returned
-certificate is unconditional.
+stall runs an exact support crossover (see basin_hop), as LP crossover
+does after an interior or first-order method: it solves the small
+equalizing systems of square blocks one flip or exchange from the
+current supports.  If none certifies, the run ends stalled.
+Termination is by exact duality gap of the projected iterate, not by
+residual norm, so the returned certificate is unconditional.
 """
 
 from __future__ import annotations
@@ -187,73 +186,72 @@ def line_search_accept(ctx: DrsContext, state: SsnState,
     return state
 
 
-# Coordinates of P(z) above this form the supports the crossover tries.
-# At most _CROSSOVER_CANDIDATES support sets (the supports and their
-# one-swap neighbours) are solved per call, and then, only if none
-# certifies, at most _EXCHANGE_CANDIDATES exchanges.
+# Support threshold on P(z), and the most blocks one crossover call tries.
 _SUPPORT_TOL = 1e-9
 _CROSSOVER_CANDIDATES = 64
-_EXCHANGE_CANDIDATES = 64
 
 
 def _equalizer(a: np.ndarray) -> np.ndarray | None:
-    """The strategy w with 1'w = 1 that makes a w constant, clipped at 0.
+    """The strategy w with 1'w = 1 equalizing the square a w, clipped at 0.
 
-    Solves [a, -1; 1', 0] (w, v) = (0, 1), exactly when a is square and
-    in the least-squares sense otherwise.  Returns None when the solve
+    Solves [a, -1; 1', 0] (w, v) = (0, 1).  Returns None when the solve
     fails or leaves no positive mass.
     """
-    k, l = a.shape
+    k = len(a)
     lhs = np.block([[a, -np.ones((k, 1))],
-                    [np.ones((1, l)), np.zeros((1, 1))]])
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
+                    [np.ones((1, k)), np.zeros((1, 1))]])
+    rhs = np.append(np.zeros(k), 1.0)
     try:
-        sol = (np.linalg.solve(lhs, rhs) if k == l
-               else np.linalg.lstsq(lhs, rhs, rcond=None)[0])
+        sol = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
         return None
-    w = np.maximum(sol[:l], 0.0)
+    w = np.maximum(sol[:k], 0.0)
     total = w.sum()
     return w / total if np.isfinite(total) and total > 0.0 else None
 
 
 def basin_hop(ctx: DrsContext, state: SsnState, config: SsnConfig) -> bool:
-    """Finish a stalled run by an exact support crossover.
+    """Finish a stalled run by an exact support crossover on square blocks.
 
     A stall on a near-degenerate game parks the iterate at a local
-    minimum of the residual norm whose supports are one or two
-    coordinates off those of an equilibrium.  This reads the supports S
-    and T of P(z), then tries (S, T) and its one-swap neighbours,
-    nearest the piece boundary first: a drop ranks by its entry of
-    P(z), an add by its ``boundary_margins`` entry.  If none certifies,
-    it tries exchanges: the nearest adds in turn, each paired with every
-    support coordinate of the same player, that one in and this one
-    out.  A stall that keeps both of two near-duplicate strategies needs
-    one: no single swap equalizes it.  Each candidate solves the two
-    small equalizing systems on A_ST and A_ST' (see ``_equalizer``), and
-    only the exact duality gap decides.  The first candidate at or below
-    ``target_gap`` moves the state to the lift of that profile, whose
-    kept P(z) is the profile itself, and returns True.  Returns False,
-    with the state untouched, when no candidate certifies.
+    minimum of the residual norm whose supports S, T (those of P(z)) are
+    a coordinate or two off an equilibrium's, and every matrix game has
+    an extreme equilibrium on a square block (Shapley and Snow).  So
+    with e = |S| - |T| only square blocks are tried.  For e = 0 they are
+    (S, T), then exchanges: each add paired with every support
+    coordinate of the same player, as a stall that keeps both of two
+    near-duplicate strategies needs.  For |e| = 1 they are the flips
+    that square the block, a drop from the larger side or an add to the
+    smaller one.  For |e| >= 2 there are none, and the call returns
+    False at once.  A drop ranks by its entry of P(z), an add by its
+    ``boundary_margins`` entry, nearest first; at most
+    ``_CROSSOVER_CANDIDATES`` blocks A_ST are tried, each by the
+    equalizing systems on it and its transpose (``_equalizer``).  Only
+    the exact duality gap decides: the first at or below ``target_gap``
+    moves the state to the lift of its profile, whose kept P(z) is the
+    profile itself, and returns True.  Otherwise the state is untouched
+    and the result False.
     """
     game, n = ctx.game, ctx.game.n
     p = state.profile(ctx).concatenated()
     support = p > _SUPPORT_TOL
+    excess = support[:n].sum() - support[n:].sum()
+    if abs(excess) > 1:
+        return False
     # Each coordinate's distance to its block threshold: its entry of
-    # P(z) where positive, its margin elsewhere.  Nearest flips first,
-    # but no drop may empty a player's support.
+    # P(z) where positive, its margin elsewhere.
     margins = boundary_margins(ctx, state.z)
     order = np.argsort(np.where(np.isinf(margins), p, margins), kind="stable")
-    sizes = np.where(order < n, support[:n].sum(), support[n:].sum())
-    flips = [[], *([i] for i in order[~support[order] | (sizes > 1)])]
-    drops = order[support[order]]
-    exchanges = ([add, drop] for add in order[~support[order]]
-                 for drop in drops[(drops < n) == (add < n)])
-    candidates = itertools.chain(
-        flips[:_CROSSOVER_CANDIDATES],
-        itertools.islice(exchanges, _EXCHANGE_CANDIDATES))
-    for flip in candidates:
+    if excess:
+        # Supported on the larger side (a drop), or off the smaller one.
+        squaring = support[order] == ((order < n) == (excess > 0))
+        candidates = ([i] for i in order[squaring])
+    else:
+        drops = order[support[order]]
+        candidates = itertools.chain(
+            [[]], ([add, drop] for add in order[~support[order]]
+                   for drop in drops[(drops < n) == (add < n)]))
+    for flip in itertools.islice(candidates, _CROSSOVER_CANDIDATES):
         mask = support.copy()
         mask[flip] = ~mask[flip]
         rows, cols = np.flatnonzero(mask[:n]), np.flatnonzero(mask[n:])

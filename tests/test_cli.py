@@ -358,6 +358,15 @@ class TestUsageErrors:
         assert "switch threshold 0.1 of pssn-v1" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_hpssn_suites_ignore_the_switch_threshold(self, tmp_path):
+        rc, out_dir = run_cli(tmp_path, "probing", [
+            "--n", "5", "--m", "5", "--seeds", "0", "--methods", "hpssn",
+            "--target", "0.5", "--fo-budget", "500", "--workers", "1",
+        ])
+        assert rc == 0
+        rows = read_rows(os.path.join(out_dir, "runs.csv"))
+        assert "ERROR" not in {r["phase"] for r in rows}
+
     def test_first_order_suites_accept_any_target(self, tmp_path):
         rc, out_dir = run_cli(tmp_path, "loose", [
             "--n", "5", "--m", "5", "--seeds", "0",

@@ -68,10 +68,16 @@ class TestHybridConfig:
         {"theta_update_period": -1},
         {"max_fo_iters": -1},
         {"gap_check_period": -1},
+        {"variant": "hpssn", "target_gap": -1e-12},
+        {"variant": "hpssn", "target_gap": float("nan")},
+        {"variant": "hpssn", "target_gap": float("inf")},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             HybridConfig(**kwargs)
+
+    def test_hpssn_targets_ignore_the_switch_threshold(self):
+        HybridConfig(variant="hpssn", target_gap=0.5)
 
 
 
@@ -273,8 +279,9 @@ class TestStalledNewtonRuns:
     @pytest.mark.parametrize("variant", ["pssn-v1", "pssn-v2", "hpssn"])
     @pytest.mark.parametrize("gamma", [0.3, 0.5])
     def test_exchange_certifies_a_near_duplicate_stall(self, gamma, variant):
-        # At these gammas the stalled supports hold both near-duplicate
-        # rows, so every one-swap fails and only an exchange certifies.
+        # At gamma 0.5 the stall is 13x13 and holds both near-duplicate
+        # rows, so only an exchange certifies; at 0.3 it is 14x13, and
+        # dropping a row squares and certifies it.
         self.check_certified(stalling_games()["near-dup-rows"], variant,
                              gamma)
 
@@ -390,16 +397,26 @@ class TestWarmStartQuality:
 
 
 def golden_runs():
-    """Six hybrid runs: each variant on a 30x40 uniform game, and on the
+    """Eight hybrid runs: each variant on a 30x40 uniform game, and on the
     RPS - 1e-3 game, where hpssn rolls back two probes before its third
-    commits."""
+    commits; then two runs that stall and finish by the support
+    crossover: pssn-v1 on RPS + 1e-9 stalls at 3x4 supports and hpssn on
+    the near-duplicate game at gamma 0.3 at 14x13, and each certifies
+    once a drop squares its block."""
     games = {"uniform-30x40": uniform_game(0, n=30, m=40),
              "rps-1e-3": MatrixGame.from_payoff(RPS_MINUS)}
     configs = {"pssn-v1": HybridConfig(),
                "pssn-v2": HybridConfig(variant="pssn-v2",
                                        theta_update_period=100),
                "hpssn": HybridConfig(variant="hpssn")}
-    return {f"{g}/{c}": (games[g], configs[c]) for g in games for c in configs}
+    runs = {f"{g}/{c}": (games[g], configs[c]) for g in games for c in configs}
+    stalling = stalling_games()
+    runs["rps+1e-09/pssn-v1"] = (MatrixGame.from_payoff(stalling["rps+1e-09"]),
+                                 configs["pssn-v1"])
+    runs["near-dup-rows-gamma-0.3/hpssn"] = (
+        MatrixGame.from_payoff(stalling["near-dup-rows"]),
+        HybridConfig(variant="hpssn", gamma=0.3))
+    return runs
 
 
 def golden_record(outcome):
@@ -417,9 +434,11 @@ def golden_record(outcome):
     }
 
 
-# Recorded before the three variants shared one checkpoint loop, with
-# numpy's OpenBLAS at one thread (as conftest pins it).  The loop keeps
-# every operation and its order, so each run reproduces bit for bit.
+# Recorded with numpy's OpenBLAS at one thread (as conftest pins it):
+# the first six before the three variants shared one checkpoint loop,
+# the two crossover runs before the crossover tried square blocks only.
+# Both changes keep every operation that reaches the trace, so each run
+# reproduces bit for bit.
 with open(os.path.join(os.path.dirname(__file__),
                        "golden_hybrid_runs.json"), encoding="ascii") as _fh:
     GOLDEN = json.load(_fh)

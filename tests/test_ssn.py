@@ -279,6 +279,32 @@ def stalled_state():
     return ctx, state
 
 
+def state_on_supports(payoff, rows, cols):
+    """A state at the profile uniform on the given row and column
+    supports, which is its own projection P(z)."""
+    n = len(payoff)
+    z = np.zeros(n + payoff.shape[1])
+    z[rows], z[n + np.asarray(cols)] = 1.0 / len(rows), 1.0 / len(cols)
+    ctx = build_context(MatrixGame.from_payoff(payoff), 1.0)
+    state = make_state(ctx, z, 1.0)
+    assert np.array_equal(state.residual.p, z)
+    return ctx, state
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """Record the shape of every block the crossover equalizes."""
+    shapes = []
+    equalizer = ssn_module._equalizer
+
+    def recording(a):
+        shapes.append(a.shape)
+        return equalizer(a)
+
+    monkeypatch.setattr(ssn_module, "_equalizer", recording)
+    return shapes
+
+
 class TestBasinHop:
     def test_crossover_certifies_a_stalled_state(self):
         ctx, state = stalled_state()
@@ -348,6 +374,45 @@ class TestBasinHop:
         assert np.array_equal(state.z, z)
         assert state.residual is res
         assert (state.lam, state.newton_steps_taken) == (lam, 0)
+
+    @pytest.mark.parametrize("rows, cols", [([0, 1, 2, 3], [0, 1]),
+                                            ([0], [0, 1, 2, 4])])
+    def test_supports_two_off_square_return_at_once(self, blocks, rows,
+                                                    cols):
+        payoff = random_game(philox(2), 5, 6).payoff
+        ctx, state = state_on_supports(payoff, rows, cols)
+        z, lam, res = state.z.copy(), state.lam, state.residual
+        assert basin_hop(ctx, state, SsnConfig()) is False
+        assert blocks == []
+        assert np.array_equal(state.z, z)
+        assert state.residual is res
+        assert (state.lam, state.newton_steps_taken) == (lam, 0)
+
+    @pytest.mark.parametrize("rows, cols, flips", [
+        ([0, 1, 2], [0, 1, 2, 3], 4 + 2), ([0, 1, 2, 3], [0, 1, 2], 4 + 3)])
+    def test_supports_one_off_square_try_only_square_blocks(self, blocks,
+                                                            rows, cols,
+                                                            flips):
+        payoff = random_game(philox(2), 5, 6).payoff
+        ctx, state = state_on_supports(payoff, rows, cols)
+        # At a zero target nothing certifies, so every flip is tried:
+        # each drop from the larger side gives a 3x3 block, each add to
+        # the smaller side a 4x4 one, and each solves once or twice.
+        assert basin_hop(ctx, state, SsnConfig(target_gap=0.0)) is False
+        assert all(k == l for k, l in blocks)
+        assert {k for k, _ in blocks} == {3, 4}
+        assert flips <= len(blocks) <= 2 * flips
+
+    def test_exact_duplicate_certifies_through_a_square_block(self, blocks):
+        payoff = np.column_stack([RPS, RPS[:, 0]])
+        ctx, state = state_on_supports(payoff, [0, 1, 2], [0, 1, 2, 3])
+        assert basin_hop(ctx, state, SsnConfig()) is True
+        assert blocks == [(3, 3), (3, 3)]
+        profile = state.profile(ctx)
+        assert duality_gap(ctx.game, profile).gap <= 1e-12
+        assert np.count_nonzero(profile.y) == 3
+        assert profile.y[0] == 0.0 or profile.y[3] == 0.0
+        assert np.allclose(profile.x, 1 / 3, atol=1e-15)
 
 
 def solve(ctx, z0, config, rows=None, start_iteration=0):
