@@ -373,11 +373,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--target must be positive and finite, got {args.target}")
     if args.fo_budget < 1 or args.checkpoint_every < 1:
         parser.error("budgets must be positive")
-    if (args.switch_threshold is not None
-            and not args.target < args.switch_threshold < math.inf):
+    # Only the switch methods read the threshold, so only they need it
+    # above the target.
+    hybrids = [m for m in args.method_list if m in SWITCH_METHODS]
+    if args.switch_threshold is not None and not (
+            math.isfinite(args.switch_threshold)
+            and (args.target < args.switch_threshold or not hybrids)):
         parser.error("--switch-threshold must be finite and exceed --target, "
                      f"got {args.switch_threshold}")
-    hybrids = [m for m in args.method_list if m in SWITCH_METHODS]
     if hybrids and args.switch_threshold is None:
         threshold = default_switch_threshold(
             InstanceSpec(kind=args.kind, n=args.n, m=args.m, path=args.path))

@@ -20,7 +20,8 @@ Newton starts at damping ``LAMBDA0`` (v2 tunes it), carried across
 episodes.  The splitting context (one thin SVD) is built at the first
 episode, or up front by v2 for its probes, so a run that never leaves
 regret matching never pays for it.  Every returned profile has a fresh
-certificate; a run that does not converge returns the best one.
+certificate; a run that does not converge returns the best one of its
+trace rows, Newton steps of rolled-back probes included.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
-from .game import GapCertificate, MatrixGame, StrategyProfile, duality_gap
+from .game import GapCertificate, MatrixGame, StrategyProfile
 from .prm import STATUS_BUDGET, STATUS_CONVERGED, checkpoints, regret_matching
 from .splitting import build_context, lift
 from .ssn import (FLAG_BUDGET, FLAG_TARGET, LAMBDA_MIN, SsnConfig,
@@ -181,29 +182,29 @@ def run_hybrid(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
                 ctx = build_context(game, config.gamma)
         state = make_state(ctx, lift(ctx, profile), lam)
         entry_norm = state.residual.norm
-        steps, _, flag = drive_newton(
+        steps, last, flag = drive_newton(
             ctx, state, scfg,
             HPSSN_PROBE_STEPS if alternating else scfg.max_newton_iters,
             rows, t0, rows[-1].iteration)
         if (alternating and flag == FLAG_BUDGET
                 and state.residual.norm <= entry_norm / HPSSN_ACCEPT_FACTOR):
-            more, _, flag = drive_newton(ctx, state, scfg,
-                                         scfg.max_newton_iters - steps, rows,
-                                         t0, rows[-1].iteration)
+            more, last, flag = drive_newton(ctx, state, scfg,
+                                            scfg.max_newton_iters - steps,
+                                            rows, t0, rows[-1].iteration)
             steps += more
         newton_total += steps
         extra_rows = rows[-1].iteration - t
         lam = state.lam
-        episode = state.profile(ctx)
-        episode_cert = duality_gap(game, episode)
+        # The episode's best traced point; a certified episode ends there.
+        episode_cert, episode = state.best
         if episode_cert.gap < best_cert.gap:
             best, best_cert = episode, episode_cert
         if flag == FLAG_TARGET:
             return outcome(episode, episode_cert, STATUS_CONVERGED)
         if not alternating or (prev_episode_gap is not None and abs(
-                episode_cert.gap - prev_episode_gap) <= _CYCLE_STALL_TOL):
+                last.gap - prev_episode_gap) <= _CYCLE_STALL_TOL):
             return outcome(best, best_cert, STATUS_SSN_STALLED)
-        prev_episode_gap = episode_cert.gap
+        prev_episode_gap = last.gap
 
     return outcome(best, best_cert, STATUS_BUDGET)
 

@@ -17,20 +17,23 @@ while the calling thread solves one trial, a second lane solves the
 next, which a rejection then takes instead of solving again (see
 jacobian.solve_ahead); the iterates are the same bits as on one lane.
 
-A stall is the signature of supports a coordinate or two off those of
-an equilibrium: near-degenerate games can park the iterate at a local
-minimum of the residual norm whose affine piece has no root.  So a
-stall runs an exact support crossover (see basin_hop), as LP crossover
-does after an interior or first-order method: it solves the small
-equalizing systems of square blocks one flip or exchange from the
-current supports.  If none certifies, the run ends stalled.
+The supports of P(z) settle long before the residual's superlinear
+tail, and near-degenerate games can even park the iterate at a local
+minimum of the residual norm whose affine piece has no root.  So at
+every point it visits, the entry point and the point after every
+accepted step, drive_newton runs an exact support crossover (see
+basin_hop) before any line search, as LP crossover does after an
+interior or first-order method: it screens the square blocks one flip
+or exchange from the current supports from one factorization and
+solves directly only those the screen passes.  The first that
+certifies ends the run; a line search that stalls ends it too, since
+the crossover has already failed at that point.
 Termination is by exact duality gap of the projected iterate, not by
 residual norm, so the returned certificate is unconditional.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import astuple, dataclass, replace
@@ -38,9 +41,8 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from .game import GapCertificate, StrategyProfile, duality_gap
-from .jacobian import (LinearSolveError, ResidualJacobian, boundary_margins,
-                       join_ahead, newton_solve, residual_jacobian,
-                       solve_ahead)
+from .jacobian import (LinearSolveError, ResidualJacobian, join_ahead,
+                       newton_solve, residual_jacobian, solve_ahead)
 from .splitting import DrsContext, ResidualValue, lift, residual, restrict
 from .trace import PHASE_SSN, TraceRow
 
@@ -89,6 +91,8 @@ class SsnState:
     stalled: bool = False
     # Trials of the last line search, for diagnostics.
     last_trials: int = 0
+    # The traced point with the smallest gap: its certificate and profile.
+    best: tuple[GapCertificate, StrategyProfile] | None = None
 
     def profile(self, ctx: DrsContext) -> StrategyProfile:
         """The projected iterate, read from the residual's P(z) if kept."""
@@ -186,19 +190,34 @@ def line_search_accept(ctx: DrsContext, state: SsnState,
     return state
 
 
-# Support threshold on P(z), and the most blocks one crossover call tries.
+# Support threshold on P(z); the most blocks one crossover call tries;
+# the screen's allowance over the target, in units of the payoff's
+# scale; and the base condition number past which the screen keeps
+# every block.
 _SUPPORT_TOL = 1e-9
 _CROSSOVER_CANDIDATES = 64
+_SCREEN_SLACK = 1e-6
+_BASE_COND_MAX = 1e8
+
+
+def _pow2_exponent(a: np.ndarray) -> int:
+    """The e with max |a| in [2**(e-1), 2**e); 0 for a zero array.
+
+    Dividing by 2**e is exact, so a block scaled this way has the same
+    bits for A and for A times any power of two.
+    """
+    return int(np.frexp(np.abs(a).max())[1])
 
 
 def _equalizer(a: np.ndarray) -> np.ndarray | None:
     """The strategy w with 1'w = 1 equalizing the square a w, clipped at 0.
 
-    Solves [a, -1; 1', 0] (w, v) = (0, 1).  Returns None when the solve
-    fails or leaves no positive mass.
+    Solves [a / 2**e, -1; 1', 0] (w, v) = (0, 1), with the power of two
+    2**e of ``_pow2_exponent`` bringing a to the border's scale.
+    Returns None when the solve fails or leaves no positive mass.
     """
     k = len(a)
-    lhs = np.block([[a, -np.ones((k, 1))],
+    lhs = np.block([[np.ldexp(a, -_pow2_exponent(a)), -np.ones((k, 1))],
                     [np.ones((1, k)), np.zeros((1, 1))]])
     rhs = np.append(np.zeros(k), 1.0)
     try:
@@ -210,51 +229,154 @@ def _equalizer(a: np.ndarray) -> np.ndarray | None:
     return w / total if np.isfinite(total) and total > 0.0 else None
 
 
-def basin_hop(ctx: DrsContext, state: SsnState, config: SsnConfig) -> bool:
-    """Finish a stalled run by an exact support crossover on square blocks.
+def _candidates(support: np.ndarray, order: np.ndarray,
+                n: int) -> np.ndarray:
+    """The square blocks a crossover call tries, as (add, drop) pairs.
 
-    A stall on a near-degenerate game parks the iterate at a local
-    minimum of the residual norm whose supports S, T (those of P(z)) are
-    a coordinate or two off an equilibrium's, and every matrix game has
-    an extreme equilibrium on a square block (Shapley and Snow).  So
-    with e = |S| - |T| only square blocks are tried.  For e = 0 they are
-    (S, T), then exchanges: each add paired with every support
-    coordinate of the same player, as a stall that keeps both of two
-    near-duplicate strategies needs.  For |e| = 1 they are the flips
-    that square the block, a drop from the larger side or an add to the
-    smaller one.  For |e| >= 2 there are none, and the call returns
-    False at once.  A drop ranks by its entry of P(z), an add by its
-    ``boundary_margins`` entry, nearest first; at most
-    ``_CROSSOVER_CANDIDATES`` blocks A_ST are tried, each by the
-    equalizing systems on it and its transpose (``_equalizer``).  Only
-    the exact duality gap decides: the first at or below ``target_gap``
-    moves the state to the lift of its profile, whose kept P(z) is the
-    profile itself, and returns True.  Otherwise the state is untouched
-    and the result False.
+    Each row names the coordinate added to the supports and the one
+    dropped from them, -1 for none.  With e = |S| - |T|: for e = 0, no
+    flip (the block (S, T)), then exchanges, each add in ``order``
+    paired with every support coordinate of the same player in
+    ``order``; for |e| = 1, the single flips that square the block, a
+    drop from the larger side or an add to the smaller one, in
+    ``order``.  At most ``_CROSSOVER_CANDIDATES`` rows.
     """
-    game, n = ctx.game, ctx.game.n
-    p = state.profile(ctx).concatenated()
-    support = p > _SUPPORT_TOL
+    cap = _CROSSOVER_CANDIDATES
     excess = support[:n].sum() - support[n:].sum()
-    if abs(excess) > 1:
-        return False
-    # Each coordinate's distance to its block threshold: its entry of
-    # P(z) where positive, its margin elsewhere.
-    margins = boundary_margins(ctx, state.z)
-    order = np.argsort(np.where(np.isinf(margins), p, margins), kind="stable")
     if excess:
-        # Supported on the larger side (a drop), or off the smaller one.
-        squaring = support[order] == ((order < n) == (excess > 0))
-        candidates = ([i] for i in order[squaring])
-    else:
-        drops = order[support[order]]
-        candidates = itertools.chain(
-            [[]], ([add, drop] for add in order[~support[order]]
-                   for drop in drops[(drops < n) == (add < n)]))
-    for flip in itertools.islice(candidates, _CROSSOVER_CANDIDATES):
-        mask = support.copy()
-        mask[flip] = ~mask[flip]
-        rows, cols = np.flatnonzero(mask[:n]), np.flatnonzero(mask[n:])
+        flips = order[support[order] == ((order < n) == (excess > 0))][:cap]
+        drop = support[flips]
+        return np.column_stack([np.where(drop, -1, flips),
+                                np.where(drop, flips, -1)])
+    drops = order[support[order]]
+    pairs = [(-1, -1)]
+    for add in order[~support[order]].tolist():
+        if len(pairs) == cap:
+            break
+        same = drops[(drops < n) == (add < n)][:cap - len(pairs)]
+        pairs.extend((add, drop) for drop in same.tolist())
+    return np.array(pairs)
+
+
+def _block(support: np.ndarray, pair: np.ndarray, n: int):
+    """Rows and columns of the block one (add, drop) pair names."""
+    mask = support.copy()
+    mask[pair[pair >= 0]] ^= True
+    return np.flatnonzero(mask[:n]), np.flatnonzero(mask[n:])
+
+
+def _screen(game, support: np.ndarray, pairs: np.ndarray,
+            target: float) -> np.ndarray:
+    """Which candidate blocks may certify, judged from one factorization.
+
+    The base block is the first of the smallest candidates: (S, T) when
+    |S| = |T|, else the first drop.  Every other candidate is the base
+    with at most one row and one column replaced or, where it is one
+    larger, bordered by one of each.  Embed the bordered base K0 = [B,
+    -1; 1', 0] as blockdiag(K0, 1), so that each candidate's bordered
+    matrix differs from it in at most one row and one column: a
+    rank-two update (Woodbury's identity).  With G = K0^(-1), the
+    border column and row of each candidate's inverse are its
+    equalizers y and x (see ``_equalizer``) at O(k^2) each, batched
+    over all candidates in two products with G.  The screen clips and
+    renormalizes them as ``_equalizer`` does and takes their duality
+    gaps in two more products.  A block fails the screen when its gap
+    is finite and above the target by more than ``_SCREEN_SLACK`` of
+    the payoff's scale.  Every block passes when the base is singular
+    or its condition number exceeds ``_BASE_COND_MAX``.
+    """
+    n, count = game.n, len(pairs)
+    add, drop = pairs.T
+    base = int(np.argmax(add < 0))
+    base_drop = drop[base]
+    rows0, cols0 = _block(support, pairs[base], n)
+    cols0 = cols0 + n
+    k = len(rows0)
+    # Relative to the base, a candidate that drops another coordinate
+    # takes the base's drop back: it adds back_in and removes out, and
+    # adds its own add.  Per player, at most one coordinate comes in,
+    # and one goes out only where one comes in.
+    moved = drop != base_drop
+    back_in, out = np.where(moved, base_drop, -1), np.where(moved, drop, -1)
+    at = np.arange(count)
+    # Local indices per player: the base's k lines, the border (k), the
+    # unit (dummy) index of the embedding (k + 1), then the added lines.
+    # The border and dummy borrow a base line's payoffs, which the
+    # equalizers below weigh by zero.
+    sides = []
+    for line0, on in ((rows0, lambda c: (c >= 0) & (c < n)),
+                      (cols0, lambda c: c >= n)):
+        added = np.where(on(add), add, np.where(on(back_in), back_in, -1))
+        has = added >= 0
+        new = np.array(sorted(set(added[has].tolist())), dtype=np.intp)
+        where = np.repeat(np.arange(k + 2)[None], count, axis=0)
+        pos = np.where(on(out), np.searchsorted(line0, out), k + 1)
+        where[has, pos[has]] = k + 2 + np.searchsorted(new, added[has])
+        line = np.concatenate([line0, line0[:1], line0[:1], new])
+        sides.append((line, where, np.where(has, pos, 0), has))
+    (rows, rmap, rpos, has_r), (cols, cmap, qpos, has_q) = sides
+    cols = cols - n
+    payoff_rows, payoff_cols = game.payoff[rows], game.payoff[:, cols].T
+    ext = payoff_rows[:, cols]
+    e = _pow2_exponent(ext)
+    ext = np.ldexp(ext, -e)
+    ext[:, k], ext[k], ext[k + 1], ext[:, k + 1] = -1.0, 1.0, 0.0, 0.0
+    ext[k, k], ext[k + 1, k + 1] = 0.0, 1.0
+    k0 = ext[:k + 2, :k + 2]
+    try:
+        g = np.linalg.inv(k0)
+    except np.linalg.LinAlgError:
+        return np.ones(count, dtype=bool)
+    cond = np.abs(k0).sum(axis=0).max() * np.abs(g).sum(axis=0).max()
+    if not cond <= _BASE_COND_MAX:
+        return np.ones(count, dtype=bool)
+    # Candidate c sets row rpos by v1 and column qpos by u2, which skips
+    # row rpos, already set.
+    v1 = ext[rmap[at, rpos][:, None], cmap] - k0[rpos]
+    v1[~has_r] = 0.0
+    u2 = ext[rmap, cmap[at, qpos][:, None]] - k0[:, qpos].T
+    u2[at[has_r], rpos[has_r]] = 0.0
+    u2[~has_q] = 0.0
+    gu2, v1g = u2 @ g.T, v1 @ g
+    # The 2x2 capacitance I + V'GU with U = [e_rpos, u2], V = [v1, e_qpos].
+    c11, c12 = 1.0 + v1g[at, rpos], np.einsum("ij,ij->i", v1g, u2)
+    c21, c22 = g[qpos, rpos], 1.0 + gu2[at, qpos]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = c11 * c22 - c12 * c21
+        # y: column k (the border) of the inverse; x: minus its row k.
+        b1, b2 = v1g[:, k] / det, g[qpos, k] / det
+        y = (g[:, k] - g[:, rpos].T * (c22 * b1 - c12 * b2)[:, None]
+             - gu2 * (c11 * b2 - c21 * b1)[:, None])
+        a1, a2 = g[k, rpos] / det, gu2[:, k] / det
+        x = ((a1 * c22 - a2 * c21)[:, None] * v1g
+             + (a2 * c11 - a1 * c12)[:, None] * g[qpos] - g[k])
+        # Zero the border and the dummy where no line took its place.
+        for w, bordered in ((y, has_q & (qpos == k + 1)),
+                            (x, has_r & (rpos == k + 1))):
+            np.maximum(w, 0.0, out=w)
+            w[:, k] = 0.0
+            w[~bordered, k + 1] = 0.0
+            w /= w.sum(axis=1, keepdims=True)
+        x_loc = np.zeros((count, len(rows)))
+        y_loc = np.zeros((count, len(cols)))
+        x_loc[at[:, None], rmap] = x
+        y_loc[at[:, None], cmap] = y
+        gaps = ((x_loc @ payoff_rows).max(axis=1)
+                - (y_loc @ payoff_cols).min(axis=1))
+    return ~(gaps > target + np.ldexp(_SCREEN_SLACK, e))
+
+
+def _first_certified(game, support: np.ndarray, pairs: np.ndarray,
+                     target: float) -> StrategyProfile | None:
+    """The first candidate block whose direct equalizers certify.
+
+    Only blocks that pass ``_screen`` are solved, in candidate order,
+    each by ``_equalizer`` on it and its transpose; the exact duality
+    gap of the resulting profile decides.  None when no block certifies.
+    """
+    n = game.n
+    for c in np.flatnonzero(_screen(game, support, pairs, target)):
+        rows, cols = _block(support, pairs[c], n)
         block = game.payoff[np.ix_(rows, cols)]
         y = _equalizer(block)
         x = None if y is None else _equalizer(block.T)
@@ -263,13 +385,50 @@ def basin_hop(ctx: DrsContext, state: SsnState, config: SsnConfig) -> bool:
         x_full, y_full = np.zeros(n), np.zeros(game.m)
         x_full[rows], y_full[cols] = x, y
         profile = StrategyProfile.from_vectors(x_full, y_full)
-        if duality_gap(game, profile).gap <= config.target_gap:
-            state.z = lift(ctx, profile)
-            state.residual = replace(residual(ctx, state.z),
-                                     p=profile.concatenated())
-            state.newton_steps_taken += 1
-            return True
-    return False
+        if duality_gap(game, profile).gap <= target:
+            return profile
+    return None
+
+
+def basin_hop(ctx: DrsContext, state: SsnState, config: SsnConfig) -> bool:
+    """Try to finish the run by an exact support crossover on square blocks.
+
+    Near an equilibrium the supports S, T of P(z) are at most a
+    coordinate or two off an equilibrium's, and every matrix game has
+    an extreme equilibrium on a square block (Shapley and Snow).  So
+    with e = |S| - |T| only square blocks are tried (``_candidates``):
+    for e = 0 (S, T), then the same-player exchanges, as a point that
+    keeps both of two near-duplicate strategies needs; for |e| = 1 the
+    flips that square the block; for |e| >= 2 none, and the call
+    returns False at once.  A drop ranks by its entry of P(z), an add by
+    its distance tau - z_i to its block's threshold tau = mean(z - p)
+    over the support, nearest first; both are read from z and the
+    residual's kept P(z), so a call that does not certify projects
+    nothing.  The blocks are screened from one factorization
+    (``_screen``), and only those that pass are solved directly, in
+    order (``_first_certified``).  Only the exact duality gap decides:
+    the first at or below ``target_gap`` moves the state to the lift of
+    its profile, whose kept P(z) is the profile itself, and returns
+    True.  Otherwise the state is untouched and the result False.
+    """
+    game, n, z, p = ctx.game, ctx.game.n, state.z, state.residual.p
+    support = p > _SUPPORT_TOL
+    if abs(support[:n].sum() - support[n:].sum()) > 1:
+        return False
+    shift = z - p
+    tau = np.repeat([shift[:n][support[:n]].mean(),
+                     shift[n:][support[n:]].mean()], [n, game.m])
+    order = np.argsort(np.where(support, p, np.maximum(tau - z, 0.0)),
+                       kind="stable")
+    profile = _first_certified(game, support, _candidates(support, order, n),
+                               config.target_gap)
+    if profile is None:
+        return False
+    state.z = lift(ctx, profile)
+    state.residual = replace(residual(ctx, state.z),
+                             p=profile.concatenated())
+    state.newton_steps_taken += 1
+    return True
 
 
 def drive_newton(ctx: DrsContext, state: SsnState, config: SsnConfig,
@@ -277,23 +436,27 @@ def drive_newton(ctx: DrsContext, state: SsnState, config: SsnConfig,
                  rows: list[TraceRow] | None = None,
                  clock_start: float | None = None, start_iteration: int = 0
                  ) -> tuple[int, GapCertificate, str]:
-    """Run up to ``max_steps`` accepted Newton steps, tracing each.
+    """Run up to ``max_steps`` line searches, tracing each accepted step.
 
     Starts from a state built by ``make_state`` and advances it in place.
     ``max_steps`` defaults to ``config.max_newton_iters``.  Appends to
     ``rows``, if given, one entry row at the starting point and one row
     per accepted step (gap of the projected iterate, residual norm,
     current damping, seconds since ``clock_start``, which defaults to
-    the call); row iterations count on from ``start_iteration``.  A
-    stalled line search runs the support crossover (``basin_hop``)
-    once.  When it certifies, its exact profile counts as one more
-    step, and the loop top traces that row and ends the run, so the
-    last row's gap is the returned certificate.  Otherwise the run ends
-    stalled, with the state where the search left it.  Returns the
-    number of accepted steps, the last gap certificate, and a flag:
-    "target" when the gap certificate meets target_gap, "stalled" when
-    the line search and the crossover gave up, "budget" when max_steps
-    ran out.
+    the call); row iterations count on from ``start_iteration``, and
+    ``state.best`` keeps the traced point with the smallest gap.  At
+    every point it visits, the entry point and the point after each
+    accepted step, the budget's last included, it first runs the
+    support crossover (``basin_hop``).  When that certifies, its exact
+    profile counts as one more step, and the loop top traces that row
+    and ends the run, so the last row's gap is the returned certificate.
+    Otherwise the line search steps; when it stalls, the crossover has
+    already failed at that point, so the run ends stalled, with the
+    state where the search left it.  Returns the number of steps (the
+    accepted ones and a certified crossover), the last gap certificate,
+    and a flag: "target" when the gap certificate meets target_gap,
+    "stalled" when the line search gave up, "budget" when max_steps
+    line searches ran out.
     """
     t0 = time.perf_counter() if clock_start is None else clock_start
     if max_steps is None:
@@ -302,22 +465,27 @@ def drive_newton(ctx: DrsContext, state: SsnState, config: SsnConfig,
         rows = []
     steps = 0
     while True:
-        cert = duality_gap(ctx.game, state.profile(ctx))
+        profile = state.profile(ctx)
+        cert = duality_gap(ctx.game, profile)
+        if state.best is None or cert.gap < state.best[0].gap:
+            state.best = (cert, profile)
         rows.append(TraceRow(start_iteration + 1 + steps, PHASE_SSN, cert.gap,
                              state.residual.norm, state.lam,
                              time.perf_counter() - t0))
         if cert.gap <= config.target_gap:
             state.converged = True
             return steps, cert, FLAG_TARGET
+        # A certified crossover moves the state to its exact profile,
+        # which the loop top traces as one more step to end the run.
+        if basin_hop(ctx, state, config):
+            steps += 1
+            continue
         if steps >= max_steps:
             return steps, cert, FLAG_BUDGET
         line_search_accept(ctx, state, config)
         if state.stalled:
             state.stalled = False
-            # A certified crossover moves the state to its exact profile,
-            # which the loop top traces as one more step to end the run.
-            if not basin_hop(ctx, state, config):
-                return steps, cert, FLAG_STALLED
+            return steps, cert, FLAG_STALLED
         if state.converged:
             # Residual numerically zero: the projected point is an
             # equilibrium up to roundoff; certify and stop.

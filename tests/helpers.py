@@ -82,3 +82,33 @@ def lp_value(payoff: np.ndarray) -> tuple[float, float]:
     y = np.maximum(-res.ineqlin.marginals, 0.0)
     x, y = x / x.sum(), y / y.sum()
     return float(res.fun), float(np.max(x @ payoff) - np.min(payoff @ y))
+
+
+def sequential_crossover(game: MatrixGame, support: np.ndarray, pairs,
+                         target: float):
+    """The support crossover's first certifying block, found by solving
+    every candidate (an (add, drop) pair, -1 for none) directly, in
+    order: the per-block equalizers on the block and its transpose, then
+    the exact duality gap.  Returns the candidate's index and profile,
+    or (None, None)."""
+    from saddle_ssn.game import duality_gap
+    from saddle_ssn.ssn import _equalizer
+
+    n = game.n
+    for index, pair in enumerate(pairs):
+        mask = support.copy()
+        for i in pair:
+            if i >= 0:
+                mask[i] = not mask[i]
+        rows, cols = np.flatnonzero(mask[:n]), np.flatnonzero(mask[n:])
+        block = game.payoff[np.ix_(rows, cols)]
+        y = _equalizer(block)
+        x = None if y is None else _equalizer(block.T)
+        if x is None:
+            continue
+        x_full, y_full = np.zeros(n), np.zeros(game.m)
+        x_full[rows], y_full[cols] = x, y
+        profile = StrategyProfile.from_vectors(x_full, y_full)
+        if duality_gap(game, profile).gap <= target:
+            return index, profile
+    return None, None

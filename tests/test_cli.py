@@ -367,6 +367,27 @@ class TestUsageErrors:
         rows = read_rows(os.path.join(out_dir, "runs.csv"))
         assert "ERROR" not in {r["phase"] for r in rows}
 
+    def test_hpssn_suites_take_a_switch_threshold_under_the_target(
+            self, tmp_path):
+        rc, out_dir = run_cli(tmp_path, "explicit", [
+            "--n", "5", "--m", "5", "--seeds", "0", "--methods", "hpssn",
+            "--target", "0.5", "--switch-threshold", "0.1",
+            "--fo-budget", "500", "--workers", "1",
+        ])
+        assert rc == 0
+        rows = read_rows(os.path.join(out_dir, "runs.csv"))
+        assert "ERROR" not in {r["phase"] for r in rows}
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_hpssn_suites_still_need_a_finite_switch_threshold(
+            self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["--n", "5", "--m", "5", "--methods", "hpssn",
+                  "--switch-threshold", value,
+                  "--out-dir", str(tmp_path / "never")])
+        assert exc.value.code == 2
+        assert "--switch-threshold must be finite" in capsys.readouterr().err
+
     def test_first_order_suites_accept_any_target(self, tmp_path):
         rc, out_dir = run_cli(tmp_path, "loose", [
             "--n", "5", "--m", "5", "--seeds", "0",

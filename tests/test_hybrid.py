@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import lp_value, philox
-from saddle_ssn import hybrid
+from helpers import lp_value, philox, random_game
+from saddle_ssn import hybrid, ssn
 from saddle_ssn.game import (MatrixGame, StrategyProfile, duality_gap,
                              estimate_spectral_norm)
 from saddle_ssn.hybrid import (
@@ -301,6 +301,83 @@ class TestStalledNewtonRuns:
         assert abs(float(x @ payoff @ y) - value) <= gap + width + slack
 
 
+class TestCrossoverCorpus:
+    """Degenerate games where the support crossover cannot finish the run
+    the usual way, each checked against HiGHS."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(|S| - |T|, verdict) of every crossover call."""
+        out = []
+        crossover = ssn.basin_hop
+
+        def recording(ctx, state, config):
+            support = state.residual.p > ssn._SUPPORT_TOL
+            excess = int(support[:ctx.game.n].sum()
+                         - support[ctx.game.n:].sum())
+            verdict = crossover(ctx, state, config)
+            out.append((excess, verdict))
+            return verdict
+
+        monkeypatch.setattr(ssn, "basin_hop", recording)
+        return out
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_duplicated_rows_leave_the_finish_to_newton(self, calls,
+                                                         variant):
+        # Each row appears twice, so any square block that keeps both
+        # copies of a row is singular, and the iterates keep both copies
+        # of every row they support.  Every call near square supports
+        # fails, and the Newton tail itself certifies.
+        half = philox(7).uniform(-1.0, 1.0, size=(3, 3))
+        outcome = self.check_certified(np.vstack([half, half]), variant)
+        assert any(abs(excess) <= 1 for excess, _ in calls)
+        assert not any(verdict for _, verdict in calls)
+        assert outcome.newton_steps >= 3
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_only_non_square_equilibria(self, calls, variant):
+        # The rows 0 and 1 make x* = (1/3, 2/3, 0, 0) tie all three
+        # columns, so the optimal y form a segment, which rows 2 and 3
+        # cut at y_2 = 0.1 and 0.4: every equilibrium has supports 2x3.
+        # The crossover finds one through a square block, rows 0, 1, 3,
+        # whose equalizer puts no weight on row 3.
+        payoff = np.array([[2.0, -1.0, 1.0], [-1.0, 0.5, -0.5],
+                           [0.1, -0.5, 2.9], [1.6, 1.0, -1.6]])
+        outcome = self.check_certified(payoff, variant)
+        assert calls[-1][1] is True
+        assert np.count_nonzero(outcome.profile.x) == 2
+        assert np.count_nonzero(outcome.profile.y) == 3
+
+    @staticmethod
+    def check_certified(payoff, variant):
+        outcome = run_hybrid(MatrixGame.from_payoff(payoff),
+                             HybridConfig(variant=variant,
+                                          max_fo_iters=10_000))
+        gap = outcome.certificate.gap
+        assert outcome.status == STATUS_CONVERGED and gap <= 1e-12
+        value, width = lp_value(payoff)
+        x, y = outcome.profile.x, outcome.profile.y
+        slack = 8.0 * np.finfo(float).eps
+        assert abs(float(x @ payoff @ y) - value) <= gap + width + slack
+        return outcome
+
+
+class TestRpsPerturbations:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, -1e-9, 1e-6, 1e-3, -1e-3])
+    def test_certify_soon_after_the_first_checkpoint(self, eps, variant):
+        # All switch at round 100.  hpssn on column 0 - 1e-3 used to roll
+        # back two probes that cut the residual 7.8x and 4.7x, and took
+        # 2,421 iterations.
+        payoff = np.column_stack([RPS, RPS[:, 0] + eps])
+        outcome = run_hybrid(MatrixGame.from_payoff(payoff), HybridConfig(
+            variant=variant, switch_gap_threshold=1e-1, max_fo_iters=10_000))
+        assert outcome.status == STATUS_CONVERGED
+        assert outcome.certificate.gap <= 1e-12
+        assert outcome.iterations <= 110
+
+
 class TestRunHybrid:
     def test_dispatches_on_the_variant(self):
         game = uniform_game(8, n=20, m=20)
@@ -397,12 +474,12 @@ class TestWarmStartQuality:
 
 
 def golden_runs():
-    """Eight hybrid runs: each variant on a 30x40 uniform game, and on the
-    RPS - 1e-3 game, where hpssn rolls back two probes before its third
-    commits; then two runs that stall and finish by the support
-    crossover: pssn-v1 on RPS + 1e-9 stalls at 3x4 supports and hpssn on
-    the near-duplicate game at gamma 0.3 at 14x13, and each certifies
-    once a drop squares its block."""
+    """Nine hybrid runs: each variant on a 30x40 uniform game and on the
+    RPS - 1e-3 game; pssn-v1 on RPS + 1e-9 and hpssn on the
+    near-duplicate game at gamma 0.3, which stalled before the crossover
+    ran at every step; all these finish by the support crossover within
+    two steps.  Last, pssn-v1 on a game with duplicated rows, where every
+    crossover call fails and eight Newton steps certify."""
     games = {"uniform-30x40": uniform_game(0, n=30, m=40),
              "rps-1e-3": MatrixGame.from_payoff(RPS_MINUS)}
     configs = {"pssn-v1": HybridConfig(),
@@ -416,6 +493,9 @@ def golden_runs():
     runs["near-dup-rows-gamma-0.3/hpssn"] = (
         MatrixGame.from_payoff(stalling["near-dup-rows"]),
         HybridConfig(variant="hpssn", gamma=0.3))
+    half = philox(7).uniform(-1.0, 1.0, size=(3, 3))
+    runs["dup-rows-6x3/pssn-v1"] = (
+        MatrixGame.from_payoff(np.vstack([half, half])), configs["pssn-v1"])
     return runs
 
 
@@ -434,11 +514,9 @@ def golden_record(outcome):
     }
 
 
-# Recorded with numpy's OpenBLAS at one thread (as conftest pins it):
-# the first six before the three variants shared one checkpoint loop,
-# the two crossover runs before the crossover tried square blocks only.
-# Both changes keep every operation that reaches the trace, so each run
-# reproduces bit for bit.
+# Recorded with numpy's OpenBLAS at one thread (as conftest pins it),
+# once the crossover ran before every line search, after checking each
+# run's certificate and its value against HiGHS.
 with open(os.path.join(os.path.dirname(__file__),
                        "golden_hybrid_runs.json"), encoding="ascii") as _fh:
     GOLDEN = json.load(_fh)
@@ -475,11 +553,16 @@ def assert_best_certified(game, outcome):
     assert gap == min(row.gap for row in outcome.trace)
 
 
-def budget_config(variant):
-    """A first-order budget too short to reach a 1e-9 switch on RPS_MINUS;
-    hpssn probes once on the way and rolls the probe back."""
-    return HybridConfig(variant=variant, switch_gap_threshold=1e-9,
-                        max_fo_iters=250)
+def budget_case(variant):
+    """A first-order budget too short to reach a 1e-9 switch on RPS_MINUS.
+    hpssn, which ignores the switch and certifies RPS_MINUS at its first
+    probe, runs on a 100x100 normal game instead, where both of its
+    probes are rolled back."""
+    config = HybridConfig(variant=variant, switch_gap_threshold=1e-9,
+                          max_fo_iters=250)
+    if variant == "hpssn":
+        return random_game(philox(1), 100, 100, "normal"), config
+    return MatrixGame.from_payoff(RPS_MINUS), config
 
 
 class TestStalledExits:
@@ -518,7 +601,7 @@ class TestOutcomeFields:
         game = MatrixGame.from_payoff(RPS_MINUS)
         config = HybridConfig(variant=variant)
         if exit_ == "budget":
-            config = budget_config(variant)
+            game, config = budget_case(variant)
         elif exit_ == "stalled":
             stalled_newton(monkeypatch, park=True)
             game = uniform_game(0, n=30, m=40)
@@ -530,8 +613,8 @@ class TestOutcomeFields:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_budget_exit_returns_the_best_checkpoint(self, variant):
-        game = MatrixGame.from_payoff(RPS_MINUS)
-        outcome = run_hybrid(game, budget_config(variant))
+        game, config = budget_case(variant)
+        outcome = run_hybrid(game, config)
         assert outcome.status == STATUS_BUDGET
         # The last checkpoint is not the best one on this game.
         assert outcome.trace[-1].gap > outcome.certificate.gap

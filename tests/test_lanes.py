@@ -234,7 +234,7 @@ class TestSharedLane:
                                                       solves):
         # More callers than cores hand solves to a new lane at once, with
         # thread switches forced often; each gets its one-lane bits.
-        games = [random_game(philox(seed), 24, 30) for seed in range(4)]
+        games = [random_game(philox(seed), 24, 30) for seed in (3, 4, 5, 7)]
         set_lanes(monkeypatch, 1)
         want = [hybrid_outcome(g, "pssn-v1") for g in games]
         set_lanes(monkeypatch, 2)
@@ -290,7 +290,7 @@ class TestTracingGuard:
                     monkeypatch.setattr(module, attr, recorder)
         set_lanes(monkeypatch, 2)
         for variant in ("pssn-v1", "pssn-v2", "hpssn"):
-            hybrid_outcome(random_game(philox(0), 24, 30), variant)
+            hybrid_outcome(random_game(philox(4), 24, 30), variant)
         assert on_other_threads(solves) > 0
         assert "jacobian.newton_solve" in threads
         assert all(ids == {threading.get_ident()}
@@ -320,7 +320,7 @@ FORK_PROBE = textwrap.dedent("""
 
     def forced_solve():
         game = instances.generate(instances.InstanceSpec(
-            kind="uniform", n=24, m=30, seed=0))
+            kind="uniform", n=24, m=30, seed=4))
         return hybrid.run_hybrid(game, hybrid.HybridConfig(
             variant="pssn-v1", switch_gap_threshold=1e-1)).status
 

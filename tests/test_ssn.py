@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import philox, random_game
+from helpers import philox, random_game, sequential_crossover
 import saddle_ssn.game as game_module
 import saddle_ssn.ssn as ssn_module
 from saddle_ssn.game import MatrixGame, StrategyProfile, duality_gap
@@ -225,8 +227,10 @@ class TestProjectionCount:
 
         monkeypatch.setattr(ssn_module, "line_search_accept", search)
         projections.clear()
-        steps, _, flag = drive_newton(ctx, state, SsnConfig(), max_steps=5)
-        assert (steps, flag) == (5, FLAG_BUDGET)
+        # The crossover certifies after step 3; at a budget of 2 steps
+        # every call fails, and a failed call projects nothing.
+        steps, _, flag = drive_newton(ctx, state, SsnConfig(), max_steps=2)
+        assert (steps, flag) == (2, FLAG_BUDGET)
         assert len(projections) == 2 * sum(trials)
 
 
@@ -293,7 +297,23 @@ def state_on_supports(payoff, rows, cols):
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """Record the shape of every block the crossover equalizes."""
+    """Record the shape of every candidate block a crossover call screens."""
+    shapes = []
+    first_certified = ssn_module._first_certified
+
+    def recording(game, support, pairs, target):
+        for pair in pairs:
+            rows, cols = ssn_module._block(support, pair, game.n)
+            shapes.append((len(rows), len(cols)))
+        return first_certified(game, support, pairs, target)
+
+    monkeypatch.setattr(ssn_module, "_first_certified", recording)
+    return shapes
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Record the shape of every block the crossover solves directly."""
     shapes = []
     equalizer = ssn_module._equalizer
 
@@ -352,8 +372,19 @@ class TestBasinHop:
         events, _ = recovery
         ctx, state = stalled_state()
         _, cert, flag = drive_newton(ctx, state, SsnConfig())
-        assert (flag, events) == (FLAG_TARGET, ["search", "crossover"])
+        assert (flag, events) == (FLAG_TARGET, ["crossover"])
         assert cert.gap <= 1e-12
+
+    def test_the_crossover_runs_at_every_visited_point(self, recovery):
+        events, certify = recovery
+        certify[0] = False
+        ctx = build_context(random_game(philox(74), 20, 20), 1.0)
+        state = make_state(ctx, lift(ctx, StrategyProfile.uniform(20, 20)),
+                           1.0)
+        steps, _, flag = drive_newton(ctx, state, SsnConfig(), max_steps=6)
+        assert (steps, flag) == (6, FLAG_BUDGET)
+        # The entry point, and the point after each step, the last too.
+        assert events == ["crossover", "search"] * 6 + ["crossover"]
 
     def test_an_uncertified_stall_ends_the_run(self, recovery):
         events, certify = recovery
@@ -362,7 +393,7 @@ class TestBasinHop:
         z = state.z.copy()
         steps, _, flag = drive_newton(ctx, state, config)
         assert (steps, flag) == (0, FLAG_STALLED)
-        assert events == ["search", "crossover"]
+        assert events == ["crossover", "search"]
         assert np.array_equal(state.z, z)
         assert not state.stalled
 
@@ -391,28 +422,73 @@ class TestBasinHop:
     @pytest.mark.parametrize("rows, cols, flips", [
         ([0, 1, 2], [0, 1, 2, 3], 4 + 2), ([0, 1, 2, 3], [0, 1, 2], 4 + 3)])
     def test_supports_one_off_square_try_only_square_blocks(self, blocks,
-                                                            rows, cols,
-                                                            flips):
+                                                            solved, rows,
+                                                            cols, flips):
         payoff = random_game(philox(2), 5, 6).payoff
         ctx, state = state_on_supports(payoff, rows, cols)
-        # At a zero target nothing certifies, so every flip is tried:
-        # each drop from the larger side gives a 3x3 block, each add to
-        # the smaller side a 4x4 one, and each solves once or twice.
+        # Every flip is a candidate: each drop from the larger side gives
+        # a 3x3 block, each add to the smaller side a 4x4 one.  At a zero
+        # target none passes the screen, so none is solved directly.
         assert basin_hop(ctx, state, SsnConfig(target_gap=0.0)) is False
         assert all(k == l for k, l in blocks)
         assert {k for k, _ in blocks} == {3, 4}
-        assert flips <= len(blocks) <= 2 * flips
+        assert len(blocks) == flips
+        assert solved == []
 
-    def test_exact_duplicate_certifies_through_a_square_block(self, blocks):
+    def test_exact_duplicate_certifies_through_a_square_block(self, solved):
         payoff = np.column_stack([RPS, RPS[:, 0]])
         ctx, state = state_on_supports(payoff, [0, 1, 2], [0, 1, 2, 3])
         assert basin_hop(ctx, state, SsnConfig()) is True
-        assert blocks == [(3, 3), (3, 3)]
+        assert solved == [(3, 3), (3, 3)]
         profile = state.profile(ctx)
         assert duality_gap(ctx.game, profile).gap <= 1e-12
         assert np.count_nonzero(profile.y) == 3
         assert profile.y[0] == 0.0 or profile.y[3] == 0.0
         assert np.allclose(profile.x, 1 / 3, atol=1e-15)
+
+
+class TestScreen:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_picks_the_block_a_sequential_crossover_picks(self, data):
+        # The screen only decides which blocks get solved directly, so the
+        # batched call must certify the very block, and bits, that solving
+        # every candidate in turn certifies.  Targets are drawn from the
+        # candidates' own gaps, so ties at the target are common.
+        n, m = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        rng = philox(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans()):
+            payoff = rng.integers(-2, 3, size=(n, m)).astype(float)
+        else:
+            payoff = rng.uniform(-1.0, 1.0, size=(n, m))
+        game = MatrixGame.from_payoff(payoff)
+        kx = data.draw(st.integers(1, min(n, m + 1)))
+        ky = data.draw(st.integers(max(1, kx - 1), min(m, kx + 1)))
+        support = np.zeros(n + m, dtype=bool)
+        support[rng.choice(n, kx, replace=False)] = True
+        support[n + rng.choice(m, ky, replace=False)] = True
+        pairs = ssn_module._candidates(support, rng.permutation(n + m), n)
+        gaps = [duality_gap(game, profile).gap for profile in
+                (sequential_crossover(game, support, [pair], math.inf)[1]
+                 for pair in pairs) if profile is not None]
+        target = data.draw(st.sampled_from(gaps + [0.0, 1e-12, 0.1]))
+        _, want = sequential_crossover(game, support, pairs, target)
+        got = ssn_module._first_certified(game, support, pairs, target)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.y.tobytes() == want.y.tobytes()
+
+    def test_an_ill_conditioned_base_passes_every_block(self):
+        # Two equal columns make the base block singular: nothing can be
+        # judged from it, so every block goes to the direct solve.
+        payoff = np.column_stack([RPS, RPS[:, 0]])
+        support = np.ones(7, dtype=bool)
+        support[5] = False
+        pairs = ssn_module._candidates(support, np.arange(7), 3)
+        passed = ssn_module._screen(MatrixGame.from_payoff(payoff), support,
+                                    pairs, 1e-12)
+        assert passed.all()
 
 
 def solve(ctx, z0, config, rows=None, start_iteration=0):
@@ -459,8 +535,10 @@ class TestSolver:
         assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
 
     def test_stops_at_the_step_budget(self):
-        ctx = pennies_ctx()
-        state, _, flag = solve(ctx, near_uniform_start(ctx),
+        # Pennies certifies by the crossover at its entry point; this game
+        # needs a few steps before the crossover can finish it.
+        ctx = build_context(random_game(philox(74), 20, 20), 1.0)
+        state, _, flag = solve(ctx, lift(ctx, StrategyProfile.uniform(20, 20)),
                                SsnConfig(max_newton_iters=1))
         assert flag == FLAG_BUDGET
         assert state.newton_steps_taken == 1
@@ -478,6 +556,24 @@ class TestSolver:
                 ctx, state, SsnConfig(target_gap=1e-12 * scale))
             assert flag == FLAG_TARGET
             runs.append((steps, cert.gap / scale))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_a_stalling_game_certifies_the_same_bits_at_any_scale(self):
+        # RPS with a near-twin column stalls without the crossover; the
+        # crossover's blocks are scaled by exact powers of two, so A, 4A
+        # and A/4 certify the very same profile.
+        payoff = np.column_stack([RPS, RPS[:, 0] + 1e-9])
+        start = StrategyProfile.uniform(3, 4)
+        runs = []
+        for scale in (1.0, 4.0, 0.25):
+            ctx = build_context(MatrixGame.from_payoff(scale * payoff))
+            state = make_state(ctx, lift(ctx, start), 1.0)
+            steps, cert, flag = drive_newton(
+                ctx, state, SsnConfig(target_gap=1e-12 * scale))
+            assert flag == FLAG_TARGET
+            profile = state.profile(ctx)
+            runs.append((steps, cert.gap / scale, profile.x.tobytes(),
+                         profile.y.tobytes()))
         assert runs[0] == runs[1] == runs[2]
 
     def test_runs_are_deterministic(self):
