@@ -87,20 +87,6 @@ class RunOutput:
     error: str | None = None
 
 
-def default_switch_threshold(spec: InstanceSpec) -> float:
-    """Switch threshold by instance family and scale.
-
-    Larger games benefit from a much later handover: small uniform
-    games switch at 1e-1, small normal games at 1e-2, anything with a
-    side above 200 at 1e-5.  File instances default to 1e-2.
-    """
-    if spec.kind == "file":
-        return 1e-2
-    if max(spec.n, spec.m) > 200:
-        return 1e-5
-    return 1e-1 if spec.kind == "uniform" else 1e-2
-
-
 @functools.lru_cache(maxsize=1)
 def _build(spec: InstanceSpec) -> MatrixGame:
     """``generate`` behind a one-entry cache, one per process.
@@ -244,9 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="splitting parameter of the Newton phase "
                         "(default: 3 / the payoff's largest singular "
                         "value)")
-    p.add_argument("--switch-threshold", type=float, default=None,
+    p.add_argument("--switch-threshold", type=float,
+                   default=HybridConfig.switch_gap_threshold,
                    help="gap at which pssn-v1/v2 hand over to Newton "
-                        "(default: by instance family and size)")
+                        "(default: %(default)s)")
     p.add_argument("--target", type=float, default=1e-12,
                    help="duality gap to certify (default: 1e-12)")
     p.add_argument("--fo-budget", type=int, default=500_000,
@@ -267,21 +254,18 @@ def run_suite(args: argparse.Namespace) -> int:
     # A file may have changed since an earlier suite in this process.
     _build.cache_clear()
     seeds = [s + args.seed_offset for s in args.seed_list]
-    runs = []
-    for seed in seeds:
-        spec = InstanceSpec(kind=args.kind, n=args.n, m=args.m, seed=seed,
-                            path=args.path)
-        threshold = (args.switch_threshold if args.switch_threshold is not None
-                     else default_switch_threshold(spec))
-        for method in args.method_list:
-            runs.append(RunSpec(spec=spec, method=method, gamma=args.gamma,
-                                switch_threshold=threshold,
-                                target=args.target,
-                                fo_budget=args.fo_budget,
-                                checkpoint_every=args.checkpoint_every))
+    runs = [RunSpec(spec=InstanceSpec(kind=args.kind, n=args.n, m=args.m,
+                                      seed=seed, path=args.path),
+                    method=method, gamma=args.gamma,
+                    switch_threshold=args.switch_threshold,
+                    target=args.target, fo_budget=args.fo_budget,
+                    checkpoint_every=args.checkpoint_every)
+            for seed in seeds for method in args.method_list]
 
-    workers = args.workers if args.workers else usable_cpus()
-    pooled = workers > 1 and len(runs) > 1
+    # A fork pool starts all of its workers at the first submit, so it
+    # gets no more of them than there are runs.
+    workers = min(args.workers or usable_cpus(), len(runs))
+    pooled = workers > 1
     t_start = time.perf_counter()
     if pooled:
         # Imported here: a serial suite should not pay for loading
@@ -317,8 +301,6 @@ def run_suite(args: argparse.Namespace) -> int:
         "methods": args.method_list,
         "gamma": args.gamma,
         "switch_threshold": args.switch_threshold,
-        "switch_threshold_resolved": {
-            run.run_id(): run.switch_threshold for run in runs},
         "target": args.target,
         "fo_budget": args.fo_budget,
         "checkpoint_every": args.checkpoint_every,
@@ -375,20 +357,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("budgets must be positive")
     # Only the switch methods read the threshold, so only they need it
     # above the target.
-    hybrids = [m for m in args.method_list if m in SWITCH_METHODS]
-    if args.switch_threshold is not None and not (
-            math.isfinite(args.switch_threshold)
-            and (args.target < args.switch_threshold or not hybrids)):
+    switching = any(m in SWITCH_METHODS for m in args.method_list)
+    if not (math.isfinite(args.switch_threshold)
+            and (args.target < args.switch_threshold or not switching)):
         parser.error("--switch-threshold must be finite and exceed --target, "
                      f"got {args.switch_threshold}")
-    if hybrids and args.switch_threshold is None:
-        threshold = default_switch_threshold(
-            InstanceSpec(kind=args.kind, n=args.n, m=args.m, path=args.path))
-        if args.target >= threshold:
-            parser.error(f"--target {args.target:g} must be below the "
-                         f"switch threshold {threshold:g} of "
-                         f"{', '.join(hybrids)}; lower it or pass "
-                         f"--switch-threshold")
     if args.workers is not None and args.workers < 1:
         parser.error("--workers must be positive")
     raw_offset = os.environ.get(SEED_OFFSET_ENV, "0")

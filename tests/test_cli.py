@@ -16,11 +16,12 @@ from saddle_ssn.cli import (
     RUNS_HEADER,
     TOLERANCES,
     RunSpec,
-    default_switch_threshold,
+    build_parser,
     first_crossings,
     main,
 )
 from saddle_ssn.game import MatrixGame
+from saddle_ssn.hybrid import HybridConfig
 from saddle_ssn.instances import InstanceSpec, load_matrix, save_matrix
 from saddle_ssn.cli import _parse_seeds
 from saddle_ssn.jacobian import newton_lanes, usable_cpus
@@ -60,17 +61,10 @@ class TestSeedParsing:
 
 
 class TestDefaults:
-    def test_switch_threshold_by_family_and_size(self):
-        assert default_switch_threshold(
-            InstanceSpec(kind="uniform", n=100, m=100)) == 1e-1
-        assert default_switch_threshold(
-            InstanceSpec(kind="normal", n=100, m=100)) == 1e-2
-        assert default_switch_threshold(
-            InstanceSpec(kind="uniform", n=400, m=800)) == 1e-5
-        assert default_switch_threshold(
-            InstanceSpec(kind="normal", n=100, m=201)) == 1e-5
-        assert default_switch_threshold(
-            InstanceSpec(kind="file", path="a.csv")) == 1e-2
+    def test_help_shows_the_library_switch_threshold(self):
+        help_text = " ".join(build_parser().format_help().split())
+        assert HybridConfig.switch_gap_threshold == 0.01
+        assert "hand over to Newton (default: 0.01)" in help_text
 
     def test_run_id_format(self):
         spec = InstanceSpec(kind="uniform", n=8, m=8, seed=3)
@@ -206,8 +200,9 @@ class TestSuiteEndToEnd:
         # A serial suite's searches may use the second lane.
         assert env["newton_lanes"] == newton_lanes()
         assert env["blas"] is None or "name" in env["blas"]
-        resolved = meta["switch_threshold_resolved"]
-        assert set(resolved.values()) == {0.1}
+        assert meta["switch_threshold"] == HybridConfig.switch_gap_threshold
+        # One threshold for the suite, no per-run resolution.
+        assert [key for key in meta if "switch" in key] == ["switch_threshold"]
         assert set(meta["statuses"]) == {
             f"uniform-8x8-s{s}-{m}"
             for s in (0, 1) for m in ("prm-qa", "pssn-v2")}
@@ -355,7 +350,8 @@ class TestUsageErrors:
             main(["--n", "5", "--m", "5", "--methods", "pssn-v1",
                   "--target", "0.5", "--out-dir", str(out_dir)])
         assert exc.value.code == 2
-        assert "switch threshold 0.1 of pssn-v1" in capsys.readouterr().err
+        assert ("--switch-threshold must be finite and exceed --target, "
+                "got 0.01") in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_hpssn_suites_ignore_the_switch_threshold(self, tmp_path):
@@ -520,6 +516,15 @@ class TestSeedOffset:
 
 
 class TestDefaultWorkers:
+    def test_the_pool_has_no_more_workers_than_runs(self, tmp_path):
+        rc, out_dir = run_cli(tmp_path, "two", [
+            "--n", "5", "--m", "5", "--seeds", "0..1", "--methods", "eg",
+            "--fo-budget", "500", "--workers", "8",
+        ])
+        assert rc == 0
+        with open(os.path.join(out_dir, "meta.json"), encoding="ascii") as fh:
+            assert json.load(fh)["workers"] == 2
+
     def test_counts_the_cpus_of_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
                             raising=False)
