@@ -16,9 +16,7 @@ import numpy as np
 
 from .game import (MatrixGame, StrategyProfile, estimate_spectral_norm,
                    project_pair)
-from .prm import (STATUS_BUDGET, STATUS_CONVERGED, FirstOrderResult,
-                  checkpoints)
-from .trace import PHASE_FO, TraceRow
+from .prm import FirstOrderResult, run_to_target
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,6 @@ def ogda_run(game: MatrixGame, config: FomConfig) -> FirstOrderResult:
 def _run_fom(game: MatrixGame, config: FomConfig,
              kind: str) -> FirstOrderResult:
     t0 = time.perf_counter()
-    rows: list[TraceRow] = []
     eta = _resolve_step(game, config)
     a = game.payoff
     n = game.n
@@ -111,14 +108,9 @@ def _run_fom(game: MatrixGame, config: FomConfig,
 
     # The uniform start is certified as the renormalized stacked vector,
     # like every later iterate.
-    for t, profile, cert in checkpoints(
-            game, _profile_of(game, z), advance, lambda: _profile_of(game, z),
-            config.max_iters, config.check_every):
-        rows.append(TraceRow(t, PHASE_FO, cert.gap,
-                             elapsed=time.perf_counter() - t0))
-        if cert.gap <= config.target_gap:
-            return FirstOrderResult(profile, STATUS_CONVERGED, t, rows)
-    return FirstOrderResult(profile, STATUS_BUDGET, config.max_iters, rows)
+    return run_to_target(game, _profile_of(game, z), advance,
+                         lambda: _profile_of(game, z), config.max_iters,
+                         config.check_every, config.target_gap, t0)
 
 
 def _profile_of(game: MatrixGame, z: np.ndarray) -> StrategyProfile:

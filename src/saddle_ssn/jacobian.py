@@ -26,8 +26,10 @@ them symmetric rank-k products, and one LU factorization per trial
 through numpy's LAPACK; nothing of size n + m is factored.
 
 A line search may hand its next trial's solve to a second lane, a
-worker thread (``solve_ahead``), and ``newton_solve`` then returns that
-result.  Both lanes run the same pure solve on the same inputs, so the
+one-thread executor: ``solve_ahead`` returns the lane's future, the
+search passes it to that trial's ``newton_solve``, which returns its
+result, and the search waits on any future it did not take before it
+returns.  Both lanes run the same pure solve on the same inputs, so the
 step is the same bits either way.  The lane runs only on systems large
 enough for numpy to release the GIL through the LU, in processes that
 may use two CPUs with BLAS pinned to one thread (``newton_lanes``).
@@ -35,16 +37,19 @@ may use two CPUs with BLAS pinned to one thread (``newton_lanes``).
 
 from __future__ import annotations
 
-import collections
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .game import project_pair, project_simplex
 from .splitting import DrsContext, ResidualValue, apply_spectral, resolve
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 # Projection coordinates above this are treated as active.  The
 # thresholded projection produces exact zeros, so the cut is safe; at a
@@ -115,9 +120,6 @@ class ResidualJacobian:
     cols: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    # A solve of this Jacobian running on the second lane (solve_ahead).
-    _ahead: object = field(default=None, init=False, repr=False,
-                           compare=False)
 
     @cached_property
     def index(self) -> np.ndarray:
@@ -166,8 +168,8 @@ def residual_jacobian(ctx: DrsContext, z,
                             right - right.mean(axis=0))
 
 
-def newton_solve(jac: ResidualJacobian, mu: float,
-                 res: ResidualValue) -> np.ndarray:
+def newton_solve(jac: ResidualJacobian, mu: float, res: ResidualValue,
+                 ahead: Future | None = None) -> np.ndarray:
     """Solve the regularized Newton system (J + mu I) dz = -r.
 
     mu > 0 guarantees solvability because the symmetric part of J is
@@ -175,13 +177,11 @@ def newton_solve(jac: ResidualJacobian, mu: float,
     g = M_mu^(-1) M r the step is dz = -(g - L_mu B S^(-1) B' g).  The
     solve is verified a posteriori on the original system; NaN
     contamination or an excessive backward error raises
-    LinearSolveError.  When ``solve_ahead`` started this very solve
-    (same ``jac``, ``mu`` and ``res``), its result is taken instead,
-    and an error it raised is raised here.
+    LinearSolveError.  ``ahead``, the future ``solve_ahead`` returned
+    for this very solve, is waited on and its result taken instead; an
+    error it raised is raised here.
     """
-    ahead = jac._ahead
-    if ahead is not None and ahead.mu == mu and ahead.res is res:
-        object.__setattr__(jac, "_ahead", None)
+    if ahead is not None:
         return ahead.result()
     return _solve(jac, mu, res)
 
@@ -247,7 +247,7 @@ _LANE_MIN_K = 501
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Set in processes that already run one per core, such as a pool worker.
 _one_lane = False
-# The worker thread, made on first use.
+# The second lane's executor, made on first use.
 _lane = None
 _lane_lock = threading.Lock()
 
@@ -280,57 +280,6 @@ def hold_one_lane() -> None:
     _one_lane = True
 
 
-class _Ahead:
-    """One solve handed to the second lane, and its outcome."""
-
-    def __init__(self, jac: ResidualJacobian, mu: float, res: ResidualValue):
-        self.jac, self.mu, self.res = jac, mu, res
-        self._done = threading.Event()
-        self._value = self._error = None
-
-    def run(self) -> None:
-        try:
-            self._value = _solve(self.jac, self.mu, self.res)
-        except Exception as exc:  # noqa: BLE001 - raised when taken
-            self._error = exc
-        finally:
-            self._done.set()
-
-    def wait(self) -> None:
-        self._done.wait()
-
-    def result(self) -> np.ndarray:
-        self.wait()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
-class _Lane:
-    """A daemon thread that runs handed-over solves in order.
-
-    One thread serves the process: a thread per hand-off measured the
-    same time, but one benchmark run in six peaked 7 MB higher, as a
-    new thread can start before the last one has given back its malloc
-    arena.
-    """
-
-    def __init__(self):
-        self._tasks = collections.deque()
-        self._ready = threading.Semaphore(0)
-        threading.Thread(target=self._serve, name="saddle-ssn-lane",
-                         daemon=True).start()
-
-    def submit(self, task: _Ahead) -> None:
-        self._tasks.append(task)
-        self._ready.release()
-
-    def _serve(self) -> None:
-        while True:
-            self._ready.acquire()
-            self._tasks.popleft().run()
-
-
 def _forget_lane() -> None:
     # A forked child has no copy of the parent's worker thread, and a
     # lock some other thread held at the fork stays held in the child.
@@ -342,32 +291,28 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_lane)
 
 
-def solve_ahead(jac: ResidualJacobian, mu: float, res: ResidualValue) -> None:
+def solve_ahead(jac: ResidualJacobian, mu: float,
+                res: ResidualValue) -> Future | None:
     """Start ``newton_solve(jac, mu, res)`` on the second lane, if it runs.
 
     It runs when kx + ky is at least ``_LANE_MIN_K`` and the process
-    has two lanes (``newton_lanes``); otherwise this does nothing.  The
-    later ``newton_solve(jac, mu, res)`` takes the result, bit for bit
-    the one it would have computed.  Call ``join_ahead(jac)`` before
-    ``jac`` goes out of use.
+    has two lanes (``newton_lanes``); then this returns the lane's
+    future, else None.  ``newton_solve(jac, mu, res, ahead=future)``
+    takes its result, bit for bit the one it would have computed.
     """
     global _lane
     if jac.index.size < _LANE_MIN_K or newton_lanes() < 2:
-        return
-    join_ahead(jac)
+        return None
     # Fill both lazy caches here, so the two lanes only read them.
     res.coords(jac.ctx)
-    ahead = _Ahead(jac, mu, res)
-    object.__setattr__(jac, "_ahead", ahead)
     with _lane_lock:
         if _lane is None:
-            _lane = _Lane()
-        _lane.submit(ahead)
+            # Imported here: it adds about 4 ms to every CLI start.
+            from concurrent.futures import ThreadPoolExecutor
 
-
-def join_ahead(jac: ResidualJacobian) -> None:
-    """Wait for a solve ``solve_ahead`` started on ``jac`` and drop it."""
-    ahead = jac._ahead
-    if ahead is not None:
-        object.__setattr__(jac, "_ahead", None)
-        ahead.wait()
+            # One thread serves the process: a thread per hand-off
+            # measured the same time, but one benchmark run in six
+            # peaked 7 MB higher, as a new thread can start before the
+            # last one has given back its malloc arena.
+            _lane = ThreadPoolExecutor(1, thread_name_prefix="saddle-ssn-lane")
+        return _lane.submit(_solve, jac, mu, res)

@@ -186,6 +186,27 @@ def checkpoints(game: MatrixGame, start: StrategyProfile,
             yield t, profile, duality_gap(game, profile)
 
 
+def run_to_target(game: MatrixGame, start: StrategyProfile,
+                  advance: Callable[[int], None],
+                  emitted: Callable[[], StrategyProfile], budget: int,
+                  check_every: int, target_gap: float,
+                  t0: float) -> FirstOrderResult:
+    """Run ``checkpoints`` until the gap meets ``target_gap`` or the budget.
+
+    Each checkpoint appends a first-order trace row timed from ``t0``.
+    The result holds the first profile at or below the target, else the
+    one at round ``budget``.
+    """
+    rows: list[TraceRow] = []
+    for t, profile, cert in checkpoints(game, start, advance, emitted,
+                                        budget, check_every):
+        rows.append(TraceRow(t, PHASE_FO, cert.gap,
+                             elapsed=time.perf_counter() - t0))
+        if cert.gap <= target_gap:
+            return FirstOrderResult(profile, STATUS_CONVERGED, t, rows)
+    return FirstOrderResult(profile, STATUS_BUDGET, budget, rows)
+
+
 def run_prm(game: MatrixGame, scheme: str = SCHEME_QUADRATIC_AVG,
             max_iters: int = 500_000, target_gap: float = 1e-12,
             check_every: int = 100) -> FirstOrderResult:
@@ -198,16 +219,11 @@ def run_prm(game: MatrixGame, scheme: str = SCHEME_QUADRATIC_AVG,
     """
     if scheme not in (SCHEME_LAST_ITERATE, SCHEME_QUADRATIC_AVG):
         raise ValueError(f"unknown averaging scheme {scheme!r}")
-    if check_every < 1:
-        raise ValueError(f"check_every must be positive, got {check_every}")
+    if max_iters < 1 or check_every < 1:
+        raise ValueError("iteration budgets must be positive, got "
+                         f"max_iters={max_iters}, check_every={check_every}")
     t0 = time.perf_counter()
-    rows: list[TraceRow] = []
     advance, emitted = regret_matching(game, scheme == SCHEME_QUADRATIC_AVG)
-    for t, profile, cert in checkpoints(
-            game, StrategyProfile.uniform(game.n, game.m), advance, emitted,
-            max_iters, check_every):
-        rows.append(TraceRow(t, PHASE_FO, cert.gap,
-                             elapsed=time.perf_counter() - t0))
-        if cert.gap <= target_gap:
-            return FirstOrderResult(profile, STATUS_CONVERGED, t, rows)
-    return FirstOrderResult(profile, STATUS_BUDGET, max_iters, rows)
+    return run_to_target(game, StrategyProfile.uniform(game.n, game.m),
+                         advance, emitted, max_iters, check_every,
+                         target_gap, t0)

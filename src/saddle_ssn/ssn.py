@@ -14,8 +14,10 @@ lighter damping that just failed.  The inner loop aborts once lambda
 leaves [LAMBDA_MIN, LAMBDA_CAP] or after a fixed number of trials,
 marking the state stalled.  On large systems the trials run in pairs:
 while the calling thread solves one trial, a second lane solves the
-next, which a rejection then takes instead of solving again (see
-jacobian.solve_ahead); the iterates are the same bits as on one lane.
+next (jacobian.solve_ahead returns its future), which a rejection then
+takes instead of solving again, and the search waits on a future it
+did not take before it returns; the iterates are the same bits as on
+one lane.
 
 The supports of P(z) settle long before the residual's superlinear
 tail, and near-degenerate games can even park the iterate at a local
@@ -37,14 +39,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import astuple, dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .game import GapCertificate, StrategyProfile, duality_gap
-from .jacobian import (LinearSolveError, ResidualJacobian, join_ahead,
-                       newton_solve, residual_jacobian, solve_ahead)
+from .jacobian import (LinearSolveError, ResidualJacobian, newton_solve,
+                       residual_jacobian, solve_ahead)
 from .splitting import DrsContext, ResidualValue, lift, residual, restrict
 from .trace import PHASE_SSN, TraceRow
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 FLAG_TARGET = "target"
 FLAG_STALLED = "stalled"
@@ -111,13 +117,15 @@ def make_state(ctx: DrsContext, z0, lambda0: float) -> SsnState:
 
 def newton_step(ctx: DrsContext, state: SsnState,
                 jac: ResidualJacobian | None = None,
-                lam: float | None = None
+                lam: float | None = None, ahead: Future | None = None
                 ) -> tuple[np.ndarray, ResidualValue] | None:
     """One damped Newton trial; no acceptance test applied.
 
     Returns the step and the residual at the candidate point, or None
     when the current residual is already numerically zero, in which
     case the caller should report convergence instead of stepping.
+    ``ahead`` is the second lane's solve of this very trial, if any
+    (see ``jacobian.newton_solve``).
     """
     if state.residual.norm <= RESIDUAL_ZERO_TOL:
         return None
@@ -126,7 +134,7 @@ def newton_step(ctx: DrsContext, state: SsnState,
     if lam is None:
         lam = state.lam
     mu = lam * state.residual.norm
-    dz = newton_solve(jac, mu, state.residual)
+    dz = newton_solve(jac, mu, state.residual, ahead)
     return dz, residual(ctx, state.z + dz)
 
 
@@ -147,11 +155,12 @@ def line_search_accept(ctx: DrsContext, state: SsnState,
 
     Trials run in pairs on large systems: trials 1, 3, 5, ... first
     hand the solve of the next trial, at lambda * ``ELL``, to the second
-    lane (see ``jacobian.solve_ahead``), which does nothing unless the
-    process has one and the system is large.  A rejected trial's
-    successor then takes that result.  Every iterate, count and error
-    is the same as on one lane; the outstanding solve is joined before
-    the search returns.
+    lane (see ``jacobian.solve_ahead``), which returns its future, or
+    None unless the process has the lane and the system is large.  A
+    rejected trial's successor then takes that result.  Every iterate,
+    count and error is the same as on one lane; before the search
+    returns it waits on a future it did not take, so an error in that
+    untaken solve goes nowhere.
     """
     if state.residual.norm <= RESIDUAL_ZERO_TOL:
         state.converged = True
@@ -160,15 +169,19 @@ def line_search_accept(ctx: DrsContext, state: SsnState,
     lam = state.lam
     trials = 0
     budget = config.max_line_search_trials
+    # The second lane's solve of the next trial, whose lambda is
+    # lam * ELL: a rejection and a failed solve both lead there.
+    ahead = None
     try:
         while LAMBDA_MIN <= lam <= LAMBDA_CAP and trials < budget:
             trials += 1
+            taken, ahead = ahead, None
             if trials % 2 == 1 and trials < budget and lam * ELL <= LAMBDA_CAP:
                 # The same product newton_step forms for the next trial.
-                solve_ahead(jac, lam * ELL * state.residual.norm,
-                            state.residual)
+                ahead = solve_ahead(jac, lam * ELL * state.residual.norm,
+                                    state.residual)
             try:
-                step = newton_step(ctx, state, jac=jac, lam=lam)
+                step = newton_step(ctx, state, jac=jac, lam=lam, ahead=taken)
             except LinearSolveError:
                 lam *= ELL
                 continue
@@ -184,7 +197,8 @@ def line_search_accept(ctx: DrsContext, state: SsnState,
                 return state
             lam *= ELL
     finally:
-        join_ahead(jac)
+        if ahead is not None:
+            ahead.exception()
     state.stalled = True
     state.last_trials = trials
     return state

@@ -7,18 +7,12 @@ import numpy as np
 import pytest
 
 from helpers import philox, random_game
-from saddle_ssn.baselines import (
-    STATUS_BUDGET,
-    STATUS_CONVERGED,
-    FomConfig,
-    extragradient_run,
-    ogda_run,
-)
+from saddle_ssn.baselines import FomConfig, extragradient_run, ogda_run
 from saddle_ssn import game as game_module
 from saddle_ssn import prm as prm_module
 from saddle_ssn.game import (MatrixGame, StrategyProfile, duality_gap,
                              estimate_spectral_norm)
-from saddle_ssn.prm import run_prm
+from saddle_ssn.prm import STATUS_BUDGET, STATUS_CONVERGED, run_prm
 from saddle_ssn.trace import PHASE_FO
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])

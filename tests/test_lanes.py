@@ -140,6 +140,37 @@ def search_outcome(monkeypatch, lanes, lam0, config, tried):
             state.newton_steps_taken, state.z.tobytes(), list(tried))
 
 
+def searches_with_a_failing_solve(monkeypatch, solves, failing_trial):
+    """The key-3 search on one and on two lanes, one trial's solve failing.
+
+    Returns both outcomes and the failing trial's mu; ``solves`` keeps
+    the calls of the two-lane search.
+    """
+    ctx, state = ladder_state()
+    lam = 0.01
+    for _ in range(failing_trial - 1):
+        lam *= ELL
+    bad_mu = lam * state.residual.norm
+    real = jacobian._solve
+
+    def failing(jac, mu, res):
+        dz = real(jac, mu, res)
+        if mu == bad_mu:
+            raise LinearSolveError("injected")
+        return dz
+
+    monkeypatch.setattr(jacobian, "_solve", failing)
+    outcomes = []
+    for lanes in (1, 2):
+        set_lanes(monkeypatch, lanes)
+        solves.clear()
+        ctx, state = ladder_state()
+        line_search_accept(ctx, state, SsnConfig())
+        outcomes.append((state.stalled, state.last_trials, state.lam,
+                         state.z.tobytes(), state.residual.norm))
+    return outcomes, bad_mu
+
+
 class TestLadders:
     @pytest.mark.parametrize("budget", [1, 2, 5, 6])
     def test_a_ladder_that_ends_at_the_trial_budget(
@@ -170,28 +201,8 @@ class TestLadders:
     def test_a_failed_solve_is_a_rejection_on_either_lane(
             self, monkeypatch, solves, failing_trial):
         # Key 3 accepts on trial 3; one trial's solve fails instead.
-        ctx, state = ladder_state()
-        lam = 0.01
-        for _ in range(failing_trial - 1):
-            lam *= ELL
-        bad_mu = lam * state.residual.norm
-        real = jacobian._solve
-
-        def failing(jac, mu, res):
-            dz = real(jac, mu, res)
-            if mu == bad_mu:
-                raise LinearSolveError("injected")
-            return dz
-
-        monkeypatch.setattr(jacobian, "_solve", failing)
-        outcomes = []
-        for lanes in (1, 2):
-            set_lanes(monkeypatch, lanes)
-            solves.clear()
-            ctx, state = ladder_state()
-            line_search_accept(ctx, state, SsnConfig())
-            outcomes.append((state.stalled, state.last_trials, state.lam,
-                             state.z.tobytes(), state.residual.norm))
+        outcomes, bad_mu = searches_with_a_failing_solve(
+            monkeypatch, solves, failing_trial)
         assert outcomes[0] == outcomes[1]
         # On two lanes, trial 2 (not trial 3) failed on the second lane.
         main = threading.get_ident()
@@ -208,10 +219,21 @@ class TestLadders:
         bad = jacobian.ResidualJacobian(ctx, jac.rows, jac.cols,
                                         np.full_like(jac.left, np.nan),
                                         jac.right)
-        jacobian.solve_ahead(bad, 0.5, state.residual)
+        ahead = jacobian.solve_ahead(bad, 0.5, state.residual)
+        assert ahead is not None
         with pytest.raises(LinearSolveError):
-            jacobian.newton_solve(bad, 0.5, state.residual)
-        assert bad._ahead is None
+            jacobian.newton_solve(bad, 0.5, state.residual, ahead)
+        assert ahead.done()
+
+    def test_an_untaken_second_lane_failure_is_not_raised(self, monkeypatch,
+                                                          solves):
+        # Key 3 accepts on trial 3 while the lane's trial-4 solve fails.
+        outcomes, bad_mu = searches_with_a_failing_solve(monkeypatch, solves, 4)
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][:2] == (False, 3)
+        # The second lane tried trial 4, and its error went nowhere.
+        assert [tid != threading.get_ident()
+                for mu, tid in solves if mu == bad_mu] == [True]
 
     def test_a_search_leaves_no_solve_running(self, monkeypatch):
         set_lanes(monkeypatch, 2)
@@ -220,13 +242,14 @@ class TestLadders:
         real = jacobian.solve_ahead
 
         def keep(jac, mu, res):
-            real(jac, mu, res)
-            started.append(jac)
+            future = real(jac, mu, res)
+            started.append(future)
+            return future
 
         monkeypatch.setattr(ssn_module, "solve_ahead", keep)
         line_search_accept(ctx, state, SsnConfig())
-        assert started
-        assert all(jac._ahead is None for jac in started)
+        assert started and None not in started
+        assert all(future.done() for future in started)
 
 
 class TestSharedLane:

@@ -211,6 +211,9 @@ class TestRunPrm:
             run_prm(game, scheme="arith")
         with pytest.raises(ValueError):
             run_prm(game, check_every=0)
+        for budget in (0, -3):
+            with pytest.raises(ValueError):
+                run_prm(game, max_iters=budget)
 
     def test_quadratic_average_matches_replay(self):
         rng = philox(86)

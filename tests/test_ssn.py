@@ -140,9 +140,9 @@ class TestLineSearch:
         ctx, state, config = rejection_prone_state(key=3)
         tried = []
 
-        def recording(ctx, state, jac=None, lam=None):
+        def recording(ctx, state, jac=None, lam=None, ahead=None):
             tried.append(lam)
-            return newton_step(ctx, state, jac=jac, lam=lam)
+            return newton_step(ctx, state, jac=jac, lam=lam, ahead=ahead)
 
         monkeypatch.setattr(ssn_module, "newton_step", recording)
         line_search_accept(ctx, state, config)
