@@ -18,10 +18,15 @@ that certifies ends the run.  The variants differ in four places:
 
 Newton starts at damping ``LAMBDA0`` (v2 tunes it), carried across
 episodes.  The splitting context (one thin SVD) is built at the first
-episode, or up front by v2 for its probes, so a run that never leaves
-regret matching never pays for it.  Every returned profile has a fresh
-certificate; a run that does not converge returns the best one of its
-trace rows, Newton steps of rolled-back probes included.
+episode, so a run that never leaves regret matching never pays for it,
+except under v2, which needs it for its probes and starts it at round
+0: on the second lane, while regret matching runs, where the game is
+large enough and the process has that lane (``jacobian.run_on_lane``),
+else up front on the calling thread.  v2 takes the lane's context at
+its first probe or episode, and before it returns, so a failed build
+raises from ``run_hybrid`` either way.  Every returned profile has a
+fresh certificate; a run that does not converge returns the best one
+of its trace rows, Newton steps of rolled-back probes included.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .game import GapCertificate, MatrixGame, StrategyProfile
+from .jacobian import LinearSolveError, run_on_lane
 from .prm import STATUS_BUDGET, STATUS_CONVERGED, checkpoints, regret_matching
-from .splitting import build_context, lift
+from .splitting import DrsContext, build_context, lift
 from .ssn import (FLAG_BUDGET, FLAG_TARGET, LAMBDA_MIN, SsnConfig,
                   drive_newton, make_state, newton_step)
 from .trace import PHASE_FO, TraceRow
@@ -140,20 +146,35 @@ def run_hybrid(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
     alternating = config.variant == VARIANT_ALTERNATING
     tuned = config.variant == VARIANT_TUNED
     scfg = SsnConfig(target_gap=config.target_gap)
-    ctx = build_context(game, config.gamma) if tuned else None
+    # v2's context, or the lane's future of it (see the module notes).
+    ctx = building = None
+    if tuned:
+        building = run_on_lane(game.n + game.m, build_context, game,
+                               config.gamma)
+        if building is None:
+            ctx = build_context(game, config.gamma)
     play, average = regret_matching(game)
     rows: list[TraceRow] = []
     lam = LAMBDA0
     newton_total = extra_rows = 0
     switch_iter = prev_episode_gap = None
 
+    def context() -> DrsContext:
+        nonlocal ctx
+        if ctx is None:
+            ctx = (build_context(game, config.gamma) if building is None
+                   else building.result())
+        return ctx
+
     def advance(t: int) -> None:
         nonlocal lam
         play(t)
         if tuned and t % config.theta_update_period == 0:
-            lam = _tune_damping(ctx, average(), lam)
+            lam = _tune_damping(context(), average(), lam)
 
     def outcome(profile, cert, status) -> HybridOutcome:
+        if building is not None:
+            building.result()
         return HybridOutcome(profile, cert, status, switch_iter, newton_total,
                              rows[-1].iteration, rows)
 
@@ -178,8 +199,7 @@ def run_hybrid(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
         probe_ref_gap = cert.gap
         if switch_iter is None:
             switch_iter = rows[-1].iteration
-            if ctx is None:
-                ctx = build_context(game, config.gamma)
+        ctx = context()
         state = make_state(ctx, lift(ctx, profile), lam)
         entry_norm = state.residual.norm
         steps, last, flag = drive_newton(
@@ -212,7 +232,11 @@ def run_hybrid(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
 def _tune_damping(ctx, profile: StrategyProfile, lam: float) -> float:
     """Evaluate one discarded Newton direction to refresh the damping."""
     state = make_state(ctx, lift(ctx, profile), lam)
-    trial = newton_step(ctx, state)
+    try:
+        trial = newton_step(ctx, state)
+    except LinearSolveError:
+        # No step is no contraction: the psi < _ALPHA1 branch.
+        return min(_LAMBDA_MAX, _BETA2 * lam)
     return lam if trial is None else adaptive_lambda_update(
         state.residual.norm, trial[1].norm, lam)
 

@@ -25,14 +25,16 @@ the active rows of the SVD factors, O(min(n, m) (kx + ky)^2), two of
 them symmetric rank-k products, and one LU factorization per trial
 through numpy's LAPACK; nothing of size n + m is factored.
 
-A line search may hand its next trial's solve to a second lane, a
-one-thread executor: ``solve_ahead`` returns the lane's future, the
-search passes it to that trial's ``newton_solve``, which returns its
-result, and the search waits on any future it did not take before it
-returns.  Both lanes run the same pure solve on the same inputs, so the
-step is the same bits either way.  The lane runs only on systems large
-enough for numpy to release the GIL through the LU, in processes that
-may use two CPUs with BLAS pinned to one thread (``newton_lanes``).
+A second lane, one worker thread, takes two jobs (``run_on_lane``).  A
+line search may hand it its next trial's solve: ``solve_ahead`` returns
+the lane's future, the search passes it to that trial's
+``newton_solve``, which returns its result, and the search waits on any
+future it did not take before it returns.  Both lanes run the same pure
+solve on the same inputs, so the step is the same bits either way.  And
+pssn-v2 builds its splitting context there while regret matching runs
+(see hybrid).  The lane runs only on jobs large enough for numpy to
+release the GIL, in processes that may use two CPUs with BLAS pinned to
+one thread (``newton_lanes``).
 """
 
 from __future__ import annotations
@@ -240,9 +242,10 @@ def _solve(jac: ResidualJacobian, mu: float,
 # the system has more than 500 unknowns, so below _LANE_MIN_K = kx + ky
 # the two LUs take turns and the second lane costs more than it saves:
 # on uniform hybrids with one BLAS thread, lanes made the Newton phase
-# 12-15% slower at k = 475-492 and 22% faster at k = 540.  With more
-# than one BLAS thread, or a single usable CPU, the lanes would only
-# compete for the same cores.
+# 12-15% slower at k = 475-492 and 22% faster at k = 540.  pssn-v2's
+# context build, one SVD of the n x m payoff, goes to the lane under
+# the same gate on n + m.  With more than one BLAS thread, or a single
+# usable CPU, the lanes would only compete for the same cores.
 _LANE_MIN_K = 501
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Set in processes that already run one per core, such as a pool worker.
@@ -261,7 +264,7 @@ def usable_cpus() -> int:
 
 
 def newton_lanes() -> int:
-    """Lanes large line searches run on in this process: 1 or 2.
+    """Lanes the large jobs of this process run on: 1 or 2.
 
     Two when the process may run on at least two CPUs and every BLAS
     thread variable that is set reads 1 (at least one must be set), and
@@ -275,7 +278,7 @@ def newton_lanes() -> int:
 
 
 def hold_one_lane() -> None:
-    """Run every solve of this process on the calling thread."""
+    """Run every job of this process on the calling thread."""
     global _one_lane
     _one_lane = True
 
@@ -291,20 +294,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_lane)
 
 
-def solve_ahead(jac: ResidualJacobian, mu: float,
-                res: ResidualValue) -> Future | None:
-    """Start ``newton_solve(jac, mu, res)`` on the second lane, if it runs.
+def run_on_lane(size: int, fn, *args) -> Future | None:
+    """Start ``fn(*args)`` on the second lane, if it runs for ``size``.
 
-    It runs when kx + ky is at least ``_LANE_MIN_K`` and the process
-    has two lanes (``newton_lanes``); then this returns the lane's
-    future, else None.  ``newton_solve(jac, mu, res, ahead=future)``
-    takes its result, bit for bit the one it would have computed.
+    ``size`` measures the job: kx + ky for a Newton solve, n + m for a
+    context build.  The lane runs it when ``size`` is at least
+    ``_LANE_MIN_K`` and the process has two lanes (``newton_lanes``);
+    then this returns the lane's future, else None.
     """
     global _lane
-    if jac.index.size < _LANE_MIN_K or newton_lanes() < 2:
+    if size < _LANE_MIN_K or newton_lanes() < 2:
         return None
-    # Fill both lazy caches here, so the two lanes only read them.
-    res.coords(jac.ctx)
     with _lane_lock:
         if _lane is None:
             # Imported here: it adds about 4 ms to every CLI start.
@@ -315,4 +315,19 @@ def solve_ahead(jac: ResidualJacobian, mu: float,
             # peaked 7 MB higher, as a new thread can start before the
             # last one has given back its malloc arena.
             _lane = ThreadPoolExecutor(1, thread_name_prefix="saddle-ssn-lane")
-        return _lane.submit(_solve, jac, mu, res)
+        return _lane.submit(fn, *args)
+
+
+def solve_ahead(jac: ResidualJacobian, mu: float,
+                res: ResidualValue) -> Future | None:
+    """Start ``newton_solve(jac, mu, res)`` on the second lane, if it runs.
+
+    It runs for kx + ky unknowns (see ``run_on_lane``); then this
+    returns the lane's future, else None.  ``newton_solve(jac, mu, res,
+    ahead=future)`` takes its result, bit for bit the one it would have
+    computed.
+    """
+    # Fill both lazy caches here, so the two lanes only read them; the
+    # search's current trial reads the same ones on the calling thread.
+    res.coords(jac.ctx)
+    return run_on_lane(jac.index.size, _solve, jac, mu, res)

@@ -23,6 +23,7 @@ from saddle_ssn.hybrid import (
     pssn_v2,
     run_hybrid,
 )
+from saddle_ssn.jacobian import LinearSolveError
 from saddle_ssn.splitting import build_context, lift, residual
 from saddle_ssn.ssn import FLAG_STALLED, drive_newton
 from saddle_ssn.trace import PHASE_FO, PHASE_SSN
@@ -193,6 +194,30 @@ class TestPssnV2:
         lam1 = ssn_rows(v1.trace)[0].damping
         lam2 = ssn_rows(v2.trace)[0].damping
         assert lam1 != lam2
+
+    def test_a_failed_probe_counts_as_no_contraction(self, monkeypatch):
+        game = uniform_game(4, n=30, m=30)
+        base = dict(switch_gap_threshold=1e-1)
+        switch = pssn_v1(game, HybridConfig(**base)).switch_iteration
+        real = hybrid.newton_step
+        probes = []
+
+        def failing_once(ctx, state):
+            probes.append(state.lam)
+            if len(probes) == 1:
+                raise LinearSolveError("injected")
+            return real(ctx, state)
+
+        monkeypatch.setattr(hybrid, "newton_step", failing_once)
+        # One probe, at the switch round, so its damping enters Newton.
+        v2 = pssn_v2(game, HybridConfig(theta_update_period=switch, **base))
+        assert probes == [hybrid.LAMBDA0]
+        assert v2.status == STATUS_CONVERGED
+        assert v2.switch_iteration == switch
+        # The damping of the psi < _ALPHA1 branch; here psi = 1e-3.
+        no_contraction = hybrid.adaptive_lambda_update(1.0, 1e3,
+                                                       hybrid.LAMBDA0)
+        assert ssn_rows(v2.trace)[0].damping == no_contraction
 
 
 class TestHpssn:
@@ -425,7 +450,7 @@ class TestLazyContext:
             assert outcome.switch_iteration is None
             traces.append(outcome.trace)
         assert builds == []
-        # pssn-v2 builds its context up front for damping probes; its
+        # pssn-v2 builds its context at round 0 for damping probes; its
         # rows (timing aside) are those of the lazy variants.
         tuned = run_hybrid(game, replace(config, variant="pssn-v2",
                                          theta_update_period=10 ** 9))

@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 
 from helpers import philox, random_game
+import saddle_ssn.hybrid as hybrid
 import saddle_ssn.jacobian as jacobian
 import saddle_ssn.ssn as ssn_module
+from saddle_ssn.game import MatrixGame
 from saddle_ssn.hybrid import HybridConfig, run_hybrid
 from saddle_ssn.jacobian import LinearSolveError
 from saddle_ssn.splitting import ResidualValue, build_context, residual
@@ -252,6 +254,97 @@ class TestLadders:
         assert all(future.done() for future in started)
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Thread of every context build run_hybrid starts, in call order."""
+    calls = []
+
+    def counting(game, gamma):
+        calls.append(threading.get_ident())
+        return build_context(game, gamma)
+
+    monkeypatch.setattr(hybrid, "build_context", counting)
+    return calls
+
+
+def v2_bits(game, **kwargs):
+    res = run_hybrid(game, HybridConfig(variant="pssn-v2", **kwargs))
+    rows = [(r.iteration, r.phase, r.gap, r.residual_norm, r.damping)
+            for r in res.trace]
+    cert = res.certificate
+    return (res.status, res.switch_iteration, res.newton_steps, rows,
+            (cert.gap.hex(), cert.best_response_row, cert.best_response_col),
+            res.profile.x.tobytes(), res.profile.y.tobytes())
+
+
+class TestContextOnTheLane:
+    def test_two_lanes_build_it_once_on_the_lane_with_one_lane_bits(
+            self, monkeypatch, builds):
+        game = random_game(philox(4), 24, 30)
+        config = dict(switch_gap_threshold=1e-1, theta_update_period=100)
+        bits, threads = {}, {}
+        for lanes in (1, 2):
+            set_lanes(monkeypatch, lanes)
+            builds.clear()
+            bits[lanes] = v2_bits(game, **config)
+            threads[lanes] = list(builds)
+        assert bits[1] == bits[2]
+        assert bits[1][0] == "converged" and bits[1][2] > 0
+        main = threading.get_ident()
+        assert threads[1] == [main]
+        assert len(threads[2]) == 1 and threads[2] != [main]
+
+    @pytest.mark.parametrize("case", ["probe", "round-0 certificate",
+                                      "budget"])
+    def test_a_failed_build_is_raised_by_run_hybrid(self, monkeypatch, case):
+        set_lanes(monkeypatch, 2)
+        threads = []
+
+        def failing(game, gamma):
+            threads.append(threading.get_ident())
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(hybrid, "build_context", failing)
+        if case == "round-0 certificate":
+            # The zero payoff certifies at round 0, long before a probe.
+            game, config = (MatrixGame.from_payoff(np.zeros((3, 4))),
+                            dict(theta_update_period=10**9))
+        elif case == "budget":
+            game, config = (random_game(philox(4), 24, 30),
+                            dict(theta_update_period=10**9, max_fo_iters=5))
+        else:
+            game, config = (random_game(philox(4), 24, 30),
+                            dict(theta_update_period=100))
+        with pytest.raises(np.linalg.LinAlgError, match="injected"):
+            run_hybrid(game, HybridConfig(variant="pssn-v2", **config))
+        assert len(threads) == 1 and threads != [threading.get_ident()]
+
+
+LAZY_LANE_PROBE = textwrap.dedent("""
+    import threading
+    import saddle_ssn.jacobian as jacobian
+    from saddle_ssn import hybrid, instances
+
+    jacobian.usable_cpus = lambda: 2
+    assert jacobian.newton_lanes() == 2
+    game = instances.generate(instances.InstanceSpec(
+        kind="uniform", n=20, m=20, seed=0))
+    out = hybrid.run_hybrid(game, hybrid.HybridConfig(variant="pssn-v2"))
+    assert out.status == "converged" and out.newton_steps > 0
+    assert jacobian._lane is None and threading.active_count() == 1
+""")
+
+
+class TestSmallGamesStayOnOneLane:
+    def test_a_small_v2_run_never_makes_the_lane(self):
+        env = dict(os.environ, PYTHONPATH=SRC,
+                   **{var: "1" for var in THREAD_VARS})
+        done = subprocess.run([sys.executable, "-c", LAZY_LANE_PROBE],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+
+
 class TestSharedLane:
     def test_concurrent_searches_share_one_lane_safely(self, monkeypatch,
                                                       solves):
@@ -289,7 +382,9 @@ class TestTracingGuard:
     def test_every_traced_function_runs_on_the_calling_thread(
             self, monkeypatch, solves):
         # perfbench's traced passes keep one span stack per process, so
-        # no function they wrap may run on the second lane.
+        # no function they wrap may run on the second lane but pssn-v2's
+        # context build, which calls none of them: its one span only
+        # blurs the callers of the spans it overlaps, all first-order.
         sys.path.insert(0, ROOT)
         try:
             tracing = importlib.import_module("perfbench.tracing")
@@ -316,8 +411,10 @@ class TestTracingGuard:
             hybrid_outcome(random_game(philox(4), 24, 30), variant)
         assert on_other_threads(solves) > 0
         assert "jacobian.newton_solve" in threads
-        assert all(ids == {threading.get_ident()}
-                   for ids in threads.values()), threads
+        main = threading.get_ident()
+        off_main = {span for span, ids in threads.items() if ids != {main}}
+        assert off_main == {"splitting.build_context"}, threads
+        assert len(threads["splitting.build_context"]) == 2
 
 
 FORK_PROBE = textwrap.dedent("""
