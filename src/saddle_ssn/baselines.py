@@ -2,9 +2,9 @@
 
 Both iterate on the stacked point z = (x, y) with the skew payoff
 operator F(z) = (Ay, -A'x) and blockwise simplex projection.  The
-default step size is 1 / (2 |A|_2), using a power-iteration estimate of
-the spectral norm taken when a run starts, which keeps both methods
-inside their convergence regime.
+step size is 1 / (2 |A|_2), using a power-iteration estimate of the
+spectral norm taken when a run starts, which keeps both methods inside
+their convergence regime.
 """
 
 from __future__ import annotations
@@ -21,28 +21,23 @@ from .prm import FirstOrderResult, run_to_target
 
 @dataclass(frozen=True)
 class FomConfig:
-    """Step size and budgets for the first-order baselines.
+    """Budgets and target for the first-order baselines.
 
-    ``step_size`` of None selects 1 / (2 |A|_2) per game.  The gap of
-    the current iterate is checked every ``check_every`` iterations.
+    The gap of the current iterate is checked every ``check_every``
+    iterations.
     """
 
-    step_size: float | None = None
     max_iters: int = 100_000
     target_gap: float = 1e-12
     check_every: int = 100
 
     def __post_init__(self):
-        if self.step_size is not None and (not np.isfinite(self.step_size)
-                                           or self.step_size <= 0.0):
-            raise ValueError(f"step size must be positive, got {self.step_size}")
         if self.max_iters < 1 or self.check_every < 1:
             raise ValueError("iteration budgets must be positive")
 
 
-def _resolve_step(game: MatrixGame, config: FomConfig) -> float:
-    if config.step_size is not None:
-        return config.step_size
+def _resolve_step(game: MatrixGame) -> float:
+    """1 / (2 |A|_2), or 0.5 for a zero payoff."""
     norm = estimate_spectral_norm(game.payoff)
     if norm <= 0.0:
         return 0.5
@@ -72,7 +67,7 @@ def ogda_run(game: MatrixGame, config: FomConfig) -> FirstOrderResult:
 def _run_fom(game: MatrixGame, config: FomConfig,
              kind: str) -> FirstOrderResult:
     t0 = time.perf_counter()
-    eta = _resolve_step(game, config)
+    eta = _resolve_step(game)
     a = game.payoff
     n = game.n
     # Operator values and the pre-projection point live in buffers reused

@@ -53,9 +53,8 @@ SWITCH_METHODS = ("pssn-v1", "pssn-v2")
 
 TOLERANCES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 
-RUNS_HEADER = ("instance,seed,method,iteration,phase,duality_gap,"
-               "residual_norm,lambda,elapsed_seconds")
 TRACE_HEADER = "iteration,phase,duality_gap,residual_norm,lambda,elapsed_seconds"
+RUNS_HEADER = "instance,seed,method," + TRACE_HEADER
 
 
 @dataclass(frozen=True)
@@ -134,19 +133,21 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _trace_line(r: TraceRow) -> str:
+    """A row of a trace file, which ends a ``runs.csv`` row too."""
+    return (f"{r.iteration},{r.phase},{_fmt(r.gap)},{_fmt(r.residual_norm)},"
+            f"{_fmt(r.damping)},{_fmt(r.elapsed)}\n")
+
+
 def _write_runs_csv(path: str, outputs: list[RunOutput]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(RUNS_HEADER + "\n")
         for out in outputs:
+            run = f"{out.instance},{out.seed},{out.method},"
             if out.error is not None:
-                fh.write(f"{out.instance},{out.seed},{out.method},0,ERROR,"
-                         f"nan,nan,nan,nan\n")
+                fh.write(run + "0,ERROR,nan,nan,nan,nan\n")
                 continue
-            for r in out.rows:
-                fh.write(f"{out.instance},{out.seed},{out.method},"
-                         f"{r.iteration},{r.phase},{_fmt(r.gap)},"
-                         f"{_fmt(r.residual_norm)},{_fmt(r.damping)},"
-                         f"{_fmt(r.elapsed)}\n")
+            fh.writelines(run + _trace_line(r) for r in out.rows)
 
 
 def first_crossings(rows: list[TraceRow]) -> dict[float, float]:
@@ -181,10 +182,7 @@ def _write_trace_files(traces_dir: str, out: RunOutput) -> None:
     with open(os.path.join(traces_dir, f"{out.run_id}.csv"), "w",
               encoding="ascii") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for r in out.rows:
-            fh.write(f"{r.iteration},{r.phase},{_fmt(r.gap)},"
-                     f"{_fmt(r.residual_norm)},{_fmt(r.damping)},"
-                     f"{_fmt(r.elapsed)}\n")
+        fh.writelines(map(_trace_line, out.rows))
 
 
 def _parse_seeds(text: str) -> list[int]:

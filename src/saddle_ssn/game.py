@@ -29,14 +29,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def estimate_spectral_norm(payoff: np.ndarray,
-                           iters: int = _NORM_EST_ITERS,
-                           rtol: float = _NORM_EST_RTOL) -> float:
+def estimate_spectral_norm(payoff: np.ndarray) -> float:
     """Estimate the largest singular value of ``payoff`` by power iteration.
 
     Iterates on the Gram matrix of the smaller side with a seeded random
-    start vector, stopping after ``iters`` rounds or once the estimate
-    stabilizes to relative tolerance ``rtol``.
+    start vector, stopping after ``_NORM_EST_ITERS`` rounds or once the
+    estimate stabilizes to relative tolerance ``_NORM_EST_RTOL``.
     """
     a = np.asarray(payoff, dtype=float)
     n, m = a.shape
@@ -52,13 +50,13 @@ def estimate_spectral_norm(payoff: np.ndarray,
         return 0.0
     v /= nv
     est = 0.0
-    for _ in range(iters):
+    for _ in range(_NORM_EST_ITERS):
         w = gram(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         new_est = np.sqrt(nw)
-        if est > 0.0 and abs(new_est - est) <= rtol * est:
+        if est > 0.0 and abs(new_est - est) <= _NORM_EST_RTOL * est:
             est = new_est
             break
         est = new_est

@@ -12,21 +12,21 @@ that certifies ends the run.  The variants differ in four places:
   then the rest if the probe cut the residual by ``HPSSN_ACCEPT_FACTOR``;
 * uncertified episode: v1/v2 end the run; hpssn resumes regret matching
   unperturbed, unless a second episode in a row ends at the same gap;
-* between rounds: every ``theta_update_period`` rounds v2 evaluates one
+* between rounds: every ``THETA_UPDATE_PERIOD`` rounds v2 evaluates one
   discarded Newton direction at the lifted average and keeps only its
   damping update (``adaptive_lambda_update``).
 
 Newton starts at damping ``LAMBDA0`` (v2 tunes it), carried across
-episodes.  The splitting context (one thin SVD) is built at the first
-episode, so a run that never leaves regret matching never pays for it,
-except under v2, which needs it for its probes and starts it at round
-0: on the second lane, while regret matching runs, where the game is
-large enough and the process has that lane (``jacobian.run_on_lane``),
-else up front on the calling thread.  v2 takes the lane's context at
-its first probe or episode, and before it returns, so a failed build
-raises from ``run_hybrid`` either way.  Every returned profile has a
-fresh certificate; a run that does not converge returns the best one
-of its trace rows, Newton steps of rolled-back probes included.
+episodes.  Every variant gets its splitting context (one thin SVD) the
+same way.  Where the game is large enough and the process has the
+second lane (``jacobian.run_on_lane``), the lane builds it from round
+0, while regret matching runs; the run takes it at its first probe or
+episode, and before it returns, so a failed build raises from
+``run_hybrid`` either way.  Otherwise the calling thread builds it at
+first use, so a run that never leaves regret matching, and under v2
+never probes, never pays for it.  Every returned profile has a fresh
+certificate; a run that does not converge returns the best one of its
+trace rows, Newton steps of rolled-back probes included.
 """
 
 from __future__ import annotations
@@ -49,10 +49,11 @@ VARIANT_SWITCH = "pssn-v1"
 VARIANT_TUNED = "pssn-v2"
 VARIANT_ALTERNATING = "hpssn"
 
-# Damping at Newton entry; hpssn's probe length, the residual cut that
-# commits a probe, and the gap change under which two episodes in a row
-# count as no progress.
+# Damping at Newton entry and the rounds between v2's damping probes;
+# hpssn's probe length, the residual cut that commits a probe, and the
+# gap change under which two episodes in a row count as no progress.
 LAMBDA0 = 1.0
+THETA_UPDATE_PERIOD = 500
 HPSSN_PROBE_STEPS = 5
 HPSSN_ACCEPT_FACTOR = 10.0
 _CYCLE_STALL_TOL = 1e-15
@@ -76,11 +77,10 @@ class HybridConfig:
     ``gap_check_period`` is the first-order checkpoint cadence; exact
     gaps are only computed at checkpoints.  ``gamma`` is the splitting
     parameter; None scales it to the payoff (see ``build_context``).
-    Newton runs with ``SsnConfig``'s budgets and ``target_gap``.
+    Newton runs with ``SsnConfig``'s budget and ``target_gap``.
     """
 
     switch_gap_threshold: float = 1e-2
-    theta_update_period: int = 500
     variant: str = VARIANT_SWITCH
     gamma: float | None = None
     target_gap: float = 1e-12
@@ -101,8 +101,7 @@ class HybridConfig:
         if self.gamma is not None and not 0.0 < self.gamma < math.inf:
             raise ValueError(
                 f"gamma must be positive and finite, got {self.gamma}")
-        if min(self.theta_update_period, self.max_fo_iters,
-               self.gap_check_period) < 1:
+        if min(self.max_fo_iters, self.gap_check_period) < 1:
             raise ValueError("periods and budgets must be positive")
 
 
@@ -146,13 +145,9 @@ def run_hybrid(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
     alternating = config.variant == VARIANT_ALTERNATING
     tuned = config.variant == VARIANT_TUNED
     scfg = SsnConfig(target_gap=config.target_gap)
-    # v2's context, or the lane's future of it (see the module notes).
-    ctx = building = None
-    if tuned:
-        building = run_on_lane(game.n + game.m, build_context, game,
-                               config.gamma)
-        if building is None:
-            ctx = build_context(game, config.gamma)
+    # The context, or the lane's future of it (see the module notes).
+    ctx = None
+    building = run_on_lane(game.n + game.m, build_context, game, config.gamma)
     play, average = regret_matching(game)
     rows: list[TraceRow] = []
     lam = LAMBDA0
@@ -169,7 +164,7 @@ def run_hybrid(game: MatrixGame, config: HybridConfig) -> HybridOutcome:
     def advance(t: int) -> None:
         nonlocal lam
         play(t)
-        if tuned and t % config.theta_update_period == 0:
+        if tuned and t % THETA_UPDATE_PERIOD == 0:
             lam = _tune_damping(context(), average(), lam)
 
     def outcome(profile, cert, status) -> HybridOutcome:

@@ -31,8 +31,8 @@ the lane's future, the search passes it to that trial's
 ``newton_solve``, which returns its result, and the search waits on any
 future it did not take before it returns.  Both lanes run the same pure
 solve on the same inputs, so the step is the same bits either way.  And
-pssn-v2 builds its splitting context there while regret matching runs
-(see hybrid).  The lane runs only on jobs large enough for numpy to
+every hybrid builds its splitting context there while regret matching
+runs (see hybrid).  The lane runs only on jobs large enough for numpy to
 release the GIL, in processes that may use two CPUs with BLAS pinned to
 one thread (``newton_lanes``).
 """
@@ -242,7 +242,7 @@ def _solve(jac: ResidualJacobian, mu: float,
 # the system has more than 500 unknowns, so below _LANE_MIN_K = kx + ky
 # the two LUs take turns and the second lane costs more than it saves:
 # on uniform hybrids with one BLAS thread, lanes made the Newton phase
-# 12-15% slower at k = 475-492 and 22% faster at k = 540.  pssn-v2's
+# 12-15% slower at k = 475-492 and 22% faster at k = 540.  A hybrid's
 # context build, one SVD of the n x m payoff, goes to the lane under
 # the same gate on n + m.  With more than one BLAS thread, or a single
 # usable CPU, the lanes would only compete for the same cores.

@@ -46,7 +46,7 @@ import numpy as np
 from .game import GapCertificate, StrategyProfile, duality_gap
 from .jacobian import (LinearSolveError, ResidualJacobian, newton_solve,
                        residual_jacobian, solve_ahead)
-from .splitting import DrsContext, ResidualValue, lift, residual, restrict
+from .splitting import DrsContext, ResidualValue, lift, residual
 from .trace import PHASE_SSN, TraceRow
 
 if TYPE_CHECKING:
@@ -56,31 +56,31 @@ FLAG_TARGET = "target"
 FLAG_STALLED = "stalled"
 FLAG_BUDGET = "budget"
 
-# Line-search ratio, the range lambda must stay in, and the residual
-# norm below which a point counts as a root.
+# Line-search ratio, the range lambda must stay in, the trials one line
+# search may make, and the residual norm below which a point counts as a
+# root.
 ELL = 1.5
 LAMBDA_CAP = 1e9
 LAMBDA_MIN = 1e-15
+MAX_LINE_SEARCH_TRIALS = 60
 RESIDUAL_ZERO_TOL = 1e-14
 
 
 @dataclass(frozen=True)
 class SsnConfig:
-    """Target and budgets of the Newton phase.
+    """Target and budget of the Newton phase.
 
-    ``max_newton_iters`` caps accepted steps per ``drive_newton`` call
-    and ``max_line_search_trials`` the trials of one line search.
+    ``max_newton_iters`` caps accepted steps per ``drive_newton`` call.
     """
 
     max_newton_iters: int = 200
     target_gap: float = 1e-12
-    max_line_search_trials: int = 60
 
     def __post_init__(self):
         if not all(map(math.isfinite, astuple(self))):
             raise ValueError(f"Newton constants must be finite: {self}")
-        if self.max_newton_iters < 1 or self.max_line_search_trials < 1:
-            raise ValueError("iteration budgets must be at least 1")
+        if self.max_newton_iters < 1:
+            raise ValueError("the Newton budget must be at least 1")
         if self.target_gap < 0.0:
             raise ValueError("target gap must be nonnegative")
 
@@ -101,10 +101,9 @@ class SsnState:
     best: tuple[GapCertificate, StrategyProfile] | None = None
 
     def profile(self, ctx: DrsContext) -> StrategyProfile:
-        """The projected iterate, read from the residual's P(z) if kept."""
+        """The projected iterate, read from the residual's kept P(z)."""
         p, n = self.residual.p, ctx.game.n
-        return (restrict(ctx, self.z) if p is None
-                else StrategyProfile.from_vectors(p[:n], p[n:]))
+        return StrategyProfile.from_vectors(p[:n], p[n:])
 
 
 def make_state(ctx: DrsContext, z0, lambda0: float) -> SsnState:
@@ -149,9 +148,9 @@ def line_search_accept(ctx: DrsContext, state: SsnState,
     counts as a rejection.  A step committed on its first trial leaves
     lambda divided by ``ELL`` squared (floored at LAMBDA_MIN) for the
     next step; a step that needed retries leaves the lambda it was
-    committed at.  If lambda leaves [LAMBDA_MIN, LAMBDA_CAP] or the
-    trial budget runs out, the state is returned unchanged except for a
-    stalled flag.
+    committed at.  If lambda leaves [LAMBDA_MIN, LAMBDA_CAP] or
+    ``MAX_LINE_SEARCH_TRIALS`` trials all fail, the state is returned
+    unchanged except for a stalled flag.
 
     Trials run in pairs on large systems: trials 1, 3, 5, ... first
     hand the solve of the next trial, at lambda * ``ELL``, to the second
@@ -168,7 +167,7 @@ def line_search_accept(ctx: DrsContext, state: SsnState,
     jac = residual_jacobian(ctx, state.z, res=state.residual)
     lam = state.lam
     trials = 0
-    budget = config.max_line_search_trials
+    budget = MAX_LINE_SEARCH_TRIALS
     # The second lane's solve of the next trial, whose lambda is
     # lam * ELL: a rejection and a failed solve both lead there.
     ahead = None

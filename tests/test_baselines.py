@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import philox, random_game
+from saddle_ssn import baselines
 from saddle_ssn.baselines import FomConfig, extragradient_run, ogda_run
 from saddle_ssn import game as game_module
 from saddle_ssn import prm as prm_module
@@ -24,9 +25,6 @@ class TestFomConfig:
         FomConfig()
 
     @pytest.mark.parametrize("kwargs", [
-        {"step_size": 0.0},
-        {"step_size": -0.1},
-        {"step_size": np.inf},
         {"max_iters": 0},
         {"check_every": 0},
     ])
@@ -76,12 +74,13 @@ class TestBaselineRuns:
         assert duality_gap(game, result.profile).gap <= 1e-2
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_smaller_steps_make_slower_progress(self, method):
+    def test_smaller_steps_make_slower_progress(self, monkeypatch, method):
         rng = philox(92)
         game = random_game(rng, 10, 10)
-        brisk = method(game, FomConfig(max_iters=400, target_gap=-1.0))
-        crawl = method(game, FomConfig(max_iters=400, target_gap=-1.0,
-                                       step_size=1e-6))
+        config = FomConfig(max_iters=400, target_gap=-1.0)
+        brisk = method(game, config)
+        monkeypatch.setattr(baselines, "_resolve_step", lambda game: 1e-6)
+        crawl = method(game, config)
         assert duality_gap(game, crawl.profile).gap \
             > duality_gap(game, brisk.profile).gap
 
@@ -94,14 +93,17 @@ class TestBaselineRuns:
         assert [row.iteration for row in result.trace] == [0, 100, 200, 250]
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_default_step_is_half_the_inverse_spectral_norm(self, method):
+    def test_default_step_is_half_the_inverse_spectral_norm(self,
+                                                            monkeypatch,
+                                                            method):
         rng = philox(96)
         game = random_game(rng, 9, 6, kind="normal")
         config = FomConfig(max_iters=300, check_every=100, target_gap=-1.0)
         step = 1.0 / (2.0 * estimate_spectral_norm(game.payoff))
+        assert baselines._resolve_step(game) == step
         default = method(game, config)
-        explicit = method(game, FomConfig(max_iters=300, check_every=100,
-                                          target_gap=-1.0, step_size=step))
+        monkeypatch.setattr(baselines, "_resolve_step", lambda game: step)
+        explicit = method(game, config)
         assert [row.gap for row in default.trace] \
             == [row.gap for row in explicit.trace]
         assert np.array_equal(default.profile.x, explicit.profile.x)

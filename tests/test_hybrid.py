@@ -59,14 +59,12 @@ class TestHybridConfig:
         {"gamma": 0.0},
         {"gamma": float("inf")},
         {"gamma": float("nan")},
-        {"theta_update_period": 0},
         {"max_fo_iters": 0},
         {"gap_check_period": 0},
         {"variant": ""},
         {"switch_gap_threshold": 0.0},
         {"target_gap": float("nan")},
         {"gamma": -1.0},
-        {"theta_update_period": -1},
         {"max_fo_iters": -1},
         {"gap_check_period": -1},
         {"variant": "hpssn", "target_gap": -1e-12},
@@ -162,11 +160,12 @@ class TestPssnV1:
 
 
 class TestPssnV2:
-    def test_matches_v1_when_tuning_never_fires(self):
+    def test_matches_v1_when_tuning_never_fires(self, monkeypatch):
+        monkeypatch.setattr(hybrid, "THETA_UPDATE_PERIOD", 10 ** 9)
         game = uniform_game(3, n=30, m=30)
         base = dict(switch_gap_threshold=1e-1, gap_check_period=100)
         v1 = pssn_v1(game, HybridConfig(**base))
-        v2 = pssn_v2(game, HybridConfig(theta_update_period=10 ** 9, **base))
+        v2 = pssn_v2(game, HybridConfig(**base))
         assert v2.status == v1.status
         assert v2.newton_steps == v1.newton_steps
         assert np.array_equal(v2.profile.x, v1.profile.x)
@@ -179,18 +178,18 @@ class TestPssnV2:
 
     def test_converges_with_periodic_damping_tuning(self):
         game = uniform_game(0)
-        outcome = pssn_v2(game, HybridConfig(switch_gap_threshold=1e-1,
-                                             theta_update_period=500))
+        outcome = pssn_v2(game, HybridConfig(switch_gap_threshold=1e-1))
         assert outcome.status == STATUS_CONVERGED
         assert outcome.certificate.gap <= 1e-12
         entry = ssn_rows(outcome.trace)[0]
         assert 1e-15 <= entry.damping <= 1e15
 
-    def test_tuning_changes_the_newton_entry_damping(self):
+    def test_tuning_changes_the_newton_entry_damping(self, monkeypatch):
+        monkeypatch.setattr(hybrid, "THETA_UPDATE_PERIOD", 100)
         game = uniform_game(4, n=30, m=30)
         base = dict(switch_gap_threshold=1e-1)
         v1 = pssn_v1(game, HybridConfig(**base))
-        v2 = pssn_v2(game, HybridConfig(theta_update_period=100, **base))
+        v2 = pssn_v2(game, HybridConfig(**base))
         lam1 = ssn_rows(v1.trace)[0].damping
         lam2 = ssn_rows(v2.trace)[0].damping
         assert lam1 != lam2
@@ -210,7 +209,8 @@ class TestPssnV2:
 
         monkeypatch.setattr(hybrid, "newton_step", failing_once)
         # One probe, at the switch round, so its damping enters Newton.
-        v2 = pssn_v2(game, HybridConfig(theta_update_period=switch, **base))
+        monkeypatch.setattr(hybrid, "THETA_UPDATE_PERIOD", switch)
+        v2 = pssn_v2(game, HybridConfig(**base))
         assert probes == [hybrid.LAMBDA0]
         assert v2.status == STATUS_CONVERGED
         assert v2.switch_iteration == switch
@@ -439,7 +439,8 @@ class TestLazyContext:
         monkeypatch.setattr(hybrid, "build_context", counting)
         return calls
 
-    def test_budget_exhausted_runs_never_build_the_context(self, builds):
+    def test_budget_exhausted_runs_never_build_the_context(self, builds,
+                                                            monkeypatch):
         game = uniform_game(0, n=20, m=20)
         config = HybridConfig(switch_gap_threshold=1e-6, target_gap=1e-8,
                               max_fo_iters=5, gap_check_period=1)
@@ -449,12 +450,11 @@ class TestLazyContext:
             assert outcome.status == STATUS_BUDGET
             assert outcome.switch_iteration is None
             traces.append(outcome.trace)
+        # A pssn-v2 run that never probes builds nothing either; its rows
+        # (timing aside) are those of the other variants.
+        monkeypatch.setattr(hybrid, "THETA_UPDATE_PERIOD", 10 ** 9)
+        tuned = run_hybrid(game, replace(config, variant="pssn-v2"))
         assert builds == []
-        # pssn-v2 builds its context at round 0 for damping probes; its
-        # rows (timing aside) are those of the lazy variants.
-        tuned = run_hybrid(game, replace(config, variant="pssn-v2",
-                                         theta_update_period=10 ** 9))
-        assert builds == [None]
         traces.append(tuned.trace)
         untimed = [[(r.iteration, r.phase, r.gap, r.residual_norm, r.damping)
                     for r in trace] for trace in traces]
@@ -473,10 +473,10 @@ class TestLazyContext:
 
 class TestDefaultGamma:
     @pytest.mark.parametrize("variant", ["pssn-v1", "pssn-v2", "hpssn"])
-    def test_none_is_the_resolved_gamma(self, variant):
+    def test_none_is_the_resolved_gamma(self, monkeypatch, variant):
+        monkeypatch.setattr(hybrid, "THETA_UPDATE_PERIOD", 100)
         game = uniform_game(0, n=20, m=20)
-        base = HybridConfig(variant=variant, switch_gap_threshold=1e-1,
-                            theta_update_period=100)
+        base = HybridConfig(variant=variant, switch_gap_threshold=1e-1)
         explicit = replace(base, gamma=build_context(game).gamma)
         traces = [[(r.iteration, r.phase, r.gap, r.residual_norm, r.damping)
                    for r in run_hybrid(game, config).trace]
@@ -508,8 +508,7 @@ def golden_runs():
     games = {"uniform-30x40": uniform_game(0, n=30, m=40),
              "rps-1e-3": MatrixGame.from_payoff(RPS_MINUS)}
     configs = {"pssn-v1": HybridConfig(),
-               "pssn-v2": HybridConfig(variant="pssn-v2",
-                                       theta_update_period=100),
+               "pssn-v2": HybridConfig(variant="pssn-v2"),
                "hpssn": HybridConfig(variant="hpssn")}
     runs = {f"{g}/{c}": (games[g], configs[c]) for g in games for c in configs}
     stalling = stalling_games()
@@ -549,7 +548,10 @@ with open(os.path.join(os.path.dirname(__file__),
 
 class TestGoldenRuns:
     @pytest.mark.parametrize("name", sorted(golden_runs()))
-    def test_run_reproduces_its_recorded_bits(self, name):
+    def test_run_reproduces_its_recorded_bits(self, monkeypatch, name):
+        # The pssn-v2 runs were recorded with a damping probe every 100
+        # rounds; no other variant probes.
+        monkeypatch.setattr(hybrid, "THETA_UPDATE_PERIOD", 100)
         game, config = golden_runs()[name]
         assert golden_record(run_hybrid(game, config)) == GOLDEN[name]
 

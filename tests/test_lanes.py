@@ -177,7 +177,8 @@ class TestLadders:
     @pytest.mark.parametrize("budget", [1, 2, 5, 6])
     def test_a_ladder_that_ends_at_the_trial_budget(
             self, monkeypatch, rejecting, solves, budget):
-        config = SsnConfig(max_line_search_trials=budget)
+        monkeypatch.setattr(ssn_module, "MAX_LINE_SEARCH_TRIALS", budget)
+        config = SsnConfig()
         one = search_outcome(monkeypatch, 1, 0.01, config, solves)
         two = search_outcome(monkeypatch, 2, 0.01, config, solves)
         assert one[:5] == two[:5] == (True, budget, 0.01, 0, one[4])
@@ -267,8 +268,8 @@ def builds(monkeypatch):
     return calls
 
 
-def v2_bits(game, **kwargs):
-    res = run_hybrid(game, HybridConfig(variant="pssn-v2", **kwargs))
+def hybrid_bits(game, variant, **kwargs):
+    res = run_hybrid(game, HybridConfig(variant=variant, **kwargs))
     rows = [(r.iteration, r.phase, r.gap, r.residual_norm, r.damping)
             for r in res.trace]
     cert = res.certificate
@@ -278,15 +279,16 @@ def v2_bits(game, **kwargs):
 
 
 class TestContextOnTheLane:
+    @pytest.mark.parametrize("variant", ["pssn-v1", "pssn-v2", "hpssn"])
     def test_two_lanes_build_it_once_on_the_lane_with_one_lane_bits(
-            self, monkeypatch, builds):
+            self, monkeypatch, builds, variant):
+        monkeypatch.setattr(hybrid, "THETA_UPDATE_PERIOD", 100)
         game = random_game(philox(4), 24, 30)
-        config = dict(switch_gap_threshold=1e-1, theta_update_period=100)
         bits, threads = {}, {}
         for lanes in (1, 2):
             set_lanes(monkeypatch, lanes)
             builds.clear()
-            bits[lanes] = v2_bits(game, **config)
+            bits[lanes] = hybrid_bits(game, variant, switch_gap_threshold=1e-1)
             threads[lanes] = list(builds)
         assert bits[1] == bits[2]
         assert bits[1][0] == "converged" and bits[1][2] > 0
@@ -305,16 +307,16 @@ class TestContextOnTheLane:
             raise np.linalg.LinAlgError("injected")
 
         monkeypatch.setattr(hybrid, "build_context", failing)
+        # Damping probes every 100 rounds, or none in these runs.
+        monkeypatch.setattr(hybrid, "THETA_UPDATE_PERIOD",
+                            100 if case == "probe" else 10**9)
         if case == "round-0 certificate":
             # The zero payoff certifies at round 0, long before a probe.
-            game, config = (MatrixGame.from_payoff(np.zeros((3, 4))),
-                            dict(theta_update_period=10**9))
+            game, config = MatrixGame.from_payoff(np.zeros((3, 4))), {}
         elif case == "budget":
-            game, config = (random_game(philox(4), 24, 30),
-                            dict(theta_update_period=10**9, max_fo_iters=5))
+            game, config = random_game(philox(4), 24, 30), dict(max_fo_iters=5)
         else:
-            game, config = (random_game(philox(4), 24, 30),
-                            dict(theta_update_period=100))
+            game, config = random_game(philox(4), 24, 30), {}
         with pytest.raises(np.linalg.LinAlgError, match="injected"):
             run_hybrid(game, HybridConfig(variant="pssn-v2", **config))
         assert len(threads) == 1 and threads != [threading.get_ident()]
@@ -382,9 +384,10 @@ class TestTracingGuard:
     def test_every_traced_function_runs_on_the_calling_thread(
             self, monkeypatch, solves):
         # perfbench's traced passes keep one span stack per process, so
-        # no function they wrap may run on the second lane but pssn-v2's
-        # context build, which calls none of them: its one span only
-        # blurs the callers of the spans it overlaps, all first-order.
+        # no function they wrap may run on the second lane but the
+        # hybrids' context build, which calls none of them: its one span
+        # only blurs the callers of the spans it overlaps, all
+        # first-order.
         sys.path.insert(0, ROOT)
         try:
             tracing = importlib.import_module("perfbench.tracing")
@@ -414,7 +417,7 @@ class TestTracingGuard:
         main = threading.get_ident()
         off_main = {span for span, ids in threads.items() if ids != {main}}
         assert off_main == {"splitting.build_context"}, threads
-        assert len(threads["splitting.build_context"]) == 2
+        assert main not in threads["splitting.build_context"]
 
 
 FORK_PROBE = textwrap.dedent("""

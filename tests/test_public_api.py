@@ -7,6 +7,7 @@ import re
 from dataclasses import fields
 
 import saddle_ssn
+from saddle_ssn.game import estimate_spectral_norm
 
 README = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "README.md")
@@ -43,12 +44,15 @@ def test_settable_knobs_are_pinned():
     def names(config):
         return [f.name for f in fields(config)]
 
-    assert names(saddle_ssn.SsnConfig) == [
-        "max_newton_iters", "target_gap", "max_line_search_trials"]
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(saddle_ssn.SsnConfig) == ["max_newton_iters", "target_gap"]
     assert names(saddle_ssn.HybridConfig) == [
-        "switch_gap_threshold", "theta_update_period", "variant", "gamma",
-        "target_gap", "max_fo_iters", "gap_check_period"]
+        "switch_gap_threshold", "variant", "gamma", "target_gap",
+        "max_fo_iters", "gap_check_period"]
     assert names(saddle_ssn.FomConfig) == [
-        "step_size", "max_iters", "target_gap", "check_every"]
-    assert list(inspect.signature(saddle_ssn.run_prm).parameters) == [
+        "max_iters", "target_gap", "check_every"]
+    assert params(saddle_ssn.run_prm) == [
         "game", "scheme", "max_iters", "target_gap", "check_every"]
+    assert params(estimate_spectral_norm) == ["payoff"]

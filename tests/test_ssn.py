@@ -40,15 +40,14 @@ def near_uniform_start(ctx):
     return lift(ctx, prof)
 
 
-def rejection_prone_state(max_trials=60, key=1):
+def rejection_prone_state(key=1):
     """A frozen start whose first Newton trial overshoots (key 1: one
     rejection, key 3: two)."""
     rng = philox(0)
     game = MatrixGame.from_payoff(rng.uniform(-1.0, 1.0, size=(6, 7)))
     ctx = build_context(game, 1.0)
     z = np.random.Generator(np.random.Philox(key=key)).normal(size=13) * 2.0
-    config = SsnConfig(max_line_search_trials=max_trials)
-    return ctx, make_state(ctx, z, 0.01), config
+    return ctx, make_state(ctx, z, 0.01), SsnConfig()
 
 
 class TestSsnConfig:
@@ -57,14 +56,11 @@ class TestSsnConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"max_newton_iters": 0},
-        {"max_line_search_trials": 0},
         {"target_gap": -1e-9},
         {"target_gap": math.nan},
         {"target_gap": math.inf},
         {"max_newton_iters": -1},
-        {"max_line_search_trials": -1},
         {"max_newton_iters": math.inf},
-        {"max_line_search_trials": math.nan},
         {"target_gap": -math.inf},
     ])
     def test_rejects_inconsistent_constants(self, kwargs):
@@ -153,8 +149,9 @@ class TestLineSearch:
         line_search_accept(ctx, state, config)
         assert tried[3] == 0.01 * 1.5 * 1.5
 
-    def test_stalls_when_trial_budget_is_exhausted(self):
-        ctx, state, config = rejection_prone_state(max_trials=1)
+    def test_stalls_when_trial_budget_is_exhausted(self, monkeypatch):
+        monkeypatch.setattr(ssn_module, "MAX_LINE_SEARCH_TRIALS", 1)
+        ctx, state, config = rejection_prone_state()
         z0 = state.z.copy()
         r0 = state.residual.norm
         line_search_accept(ctx, state, config)
@@ -386,10 +383,11 @@ class TestBasinHop:
         # The entry point, and the point after each step, the last too.
         assert events == ["crossover", "search"] * 6 + ["crossover"]
 
-    def test_an_uncertified_stall_ends_the_run(self, recovery):
+    def test_an_uncertified_stall_ends_the_run(self, monkeypatch, recovery):
         events, certify = recovery
         certify[0] = False
-        ctx, state, config = rejection_prone_state(max_trials=1, key=3)
+        monkeypatch.setattr(ssn_module, "MAX_LINE_SEARCH_TRIALS", 1)
+        ctx, state, config = rejection_prone_state(key=3)
         z = state.z.copy()
         steps, _, flag = drive_newton(ctx, state, config)
         assert (steps, flag) == (0, FLAG_STALLED)
