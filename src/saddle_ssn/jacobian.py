@@ -25,22 +25,26 @@ the active rows of the SVD factors, O(min(n, m) (kx + ky)^2), two of
 them symmetric rank-k products, and one LU factorization per trial
 through numpy's LAPACK; nothing of size n + m is factored.
 
-A second lane, one worker thread, takes two jobs (``run_on_lane``).  A
-line search may hand it its next trial's solve: ``solve_ahead`` returns
-the lane's future, the search passes it to that trial's
+A second lane, one worker thread, takes three jobs.  A line search may
+hand it its next trial's solve (``run_on_lane``): ``solve_ahead``
+returns the lane's future, the search passes it to that trial's
 ``newton_solve``, which returns its result, and the search waits on any
 future it did not take before it returns.  Both lanes run the same pure
-solve on the same inputs, so the step is the same bits either way.  And
-every hybrid builds its splitting context there while regret matching
-runs (see hybrid).  The lane runs only on jobs large enough for numpy to
-release the GIL, in processes that may use two CPUs with BLAS pinned to
-one thread (``newton_lanes``).
+solve on the same inputs, so the step is the same bits either way.
+Every hybrid builds its splitting context there while regret matching
+runs (see hybrid).  And a regret-matching round on a large payoff hands
+it x'A while the calling thread computes A y, when nothing else waits
+or runs there (``lane_products``, ``run_if_idle``; see prm).  The lane
+runs only on jobs large enough for numpy to release the GIL, in
+processes that may use two CPUs with BLAS pinned to one thread
+(``newton_lanes``).
 """
 
 from __future__ import annotations
 
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -247,11 +251,23 @@ def _solve(jac: ResidualJacobian, mu: float,
 # the same gate on n + m.  With more than one BLAS thread, or a single
 # usable CPU, the lanes would only compete for the same cores.
 _LANE_MIN_K = 501
+# A regret-matching round's x'A goes to the lane from n m = _LANE_MIN_NM
+# on.  np.dot drops the GIL for a matrix-vector product where the @
+# operator may keep it, so the round spells both products np.dot, which
+# gives the same bits.  Below the gate the hand-off costs more than it
+# saves: a two-lane round took 1.80x the one-lane time at 200x400,
+# 1.15x at 500x500 and 1.06-1.10x at 450x600, but 0.90-0.93x at
+# 500x560, 0.84-0.95x at 400x800 and 0.64x at 800x1600.  The lanes pay
+# once the payoff outgrows a core's 2 MB L2 cache.
+_LANE_MIN_NM = 280_000
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Set in processes that already run one per core, such as a pool worker.
 _one_lane = False
-# The second lane's executor, made on first use.
+# The second lane's executor, made on first use, and a weak reference
+# to the future of its last job: the lane keeps that future alive until
+# the job has run, and the reference keeps no result alive after it.
 _lane = None
+_last = None
 _lane_lock = threading.Lock()
 
 
@@ -286,8 +302,8 @@ def hold_one_lane() -> None:
 def _forget_lane() -> None:
     # A forked child has no copy of the parent's worker thread, and a
     # lock some other thread held at the fork stays held in the child.
-    global _lane, _lane_lock
-    _lane, _lane_lock = None, threading.Lock()
+    global _lane, _last, _lane_lock
+    _lane, _last, _lane_lock = None, None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -302,20 +318,50 @@ def run_on_lane(size: int, fn, *args) -> Future | None:
     ``_LANE_MIN_K`` and the process has two lanes (``newton_lanes``);
     then this returns the lane's future, else None.
     """
-    global _lane
     if size < _LANE_MIN_K or newton_lanes() < 2:
         return None
     with _lane_lock:
-        if _lane is None:
-            # Imported here: it adds about 4 ms to every CLI start.
-            from concurrent.futures import ThreadPoolExecutor
+        return _submit(fn, args)
 
-            # One thread serves the process: a thread per hand-off
-            # measured the same time, but one benchmark run in six
-            # peaked 7 MB higher, as a new thread can start before the
-            # last one has given back its malloc arena.
-            _lane = ThreadPoolExecutor(1, thread_name_prefix="saddle-ssn-lane")
-        return _lane.submit(fn, *args)
+
+def lane_products(n: int, m: int) -> bool:
+    """Whether regret matching on an n x m payoff hands x'A to the lane.
+
+    It does when n m is at least ``_LANE_MIN_NM`` and the process has
+    two lanes (``newton_lanes``); a run resolves this once.
+    """
+    return n * m >= _LANE_MIN_NM and newton_lanes() == 2
+
+
+def run_if_idle(fn, *args) -> Future | None:
+    """Start ``fn(*args)`` on the second lane if no job waits or runs there.
+
+    Returns the lane's future, else None, so a caller's product never
+    queues behind a context build or a solve.
+    """
+    with _lane_lock:
+        last = None if _last is None else _last()
+        if last is not None and not last.done():
+            return None
+        return _submit(fn, args)
+
+
+def _submit(fn, args) -> Future:
+    # Called under _lane_lock.  One worker runs the jobs in order, so
+    # the lane is idle once its last job is done.
+    global _lane, _last
+    if _lane is None:
+        # Imported here: it adds about 4 ms to every CLI start.
+        from concurrent.futures import ThreadPoolExecutor
+
+        # One thread serves the process: a thread per hand-off measured
+        # the same time, but one benchmark run in six peaked 7 MB
+        # higher, as a new thread can start before the last one has
+        # given back its malloc arena.
+        _lane = ThreadPoolExecutor(1, thread_name_prefix="saddle-ssn-lane")
+    future = _lane.submit(fn, *args)
+    _last = weakref.ref(future)
+    return future
 
 
 def solve_ahead(jac: ResidualJacobian, mu: float,

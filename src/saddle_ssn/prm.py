@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import GapCertificate, MatrixGame, StrategyProfile, duality_gap
+from .jacobian import lane_products, run_if_idle
 from .trace import PHASE_FO, TraceRow
 
 STATUS_CONVERGED = "converged"
@@ -84,7 +85,7 @@ def observe_loss(state: RegretMatchingState, loss: np.ndarray,
 
 
 def alternating_round(game: MatrixGame, row: RegretMatchingState,
-                      col: RegretMatchingState
+                      col: RegretMatchingState, lane: bool = False
                       ) -> tuple[np.ndarray, np.ndarray]:
     """One alternating update of both players; mutates both states.
 
@@ -92,13 +93,16 @@ def alternating_round(game: MatrixGame, row: RegretMatchingState,
     player maximizes, so its loss is -A'x.  Strategies update in order
     (row first, then column), each predicting its previous observed
     loss.  Both losses are then measured against the opponent's updated
-    strategy, so predictions lag a single update.
+    strategy, so predictions lag a single update.  With ``lane`` on,
+    x'A runs on the second lane while this thread computes A y, when
+    the lane is idle (``jacobian.run_if_idle``); the bits are the same.
     """
     a = game.payoff
     x_new = next_strategy(row, row.last_loss)
+    ahead = run_if_idle(np.dot, x_new, a) if lane else None
     y_new = next_strategy(col, col.last_loss)
-    observe_loss(row, a @ y_new, x_new)
-    col_loss = x_new @ a
+    observe_loss(row, np.dot(a, y_new), x_new)
+    col_loss = np.dot(x_new, a) if ahead is None else ahead.result()
     observe_loss(col, np.negative(col_loss, out=col_loss), y_new)
     return x_new, y_new
 
@@ -152,9 +156,10 @@ def regret_matching(game: MatrixGame, averaging: bool = True
     row = RegretMatchingState.uniform(game.n)
     col = RegretMatchingState.uniform(game.m)
     averager = AverageAccumulator.empty(game.n, game.m)
+    lane = lane_products(game.n, game.m)
 
     def advance(t: int) -> None:
-        x_new, y_new = alternating_round(game, row, col)
+        x_new, y_new = alternating_round(game, row, col, lane)
         if averaging:
             averager.add(x_new, y_new, float(t) * float(t))
 

@@ -87,7 +87,10 @@ def build_context(game: MatrixGame, gamma: float | None = None) -> DrsContext:
 
 
 def _coords(ctx: DrsContext, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return ctx.left.T @ w[:ctx.game.n], ctx.right.T @ w[ctx.game.n:]
+    # np.dot, not @: it drops the GIL on matrix-vector products, so two
+    # lanes' solves overlap here too (see jacobian).
+    return np.dot(ctx.left.T, w[:ctx.game.n]), np.dot(ctx.right.T,
+                                                       w[ctx.game.n:])
 
 
 def apply_spectral(ctx: DrsContext, dev: np.ndarray, c0: float,
@@ -100,8 +103,8 @@ def apply_spectral(ctx: DrsContext, dev: np.ndarray, c0: float,
     shape = (-1,) + (1,) * (w.ndim - 1)
     alpha, beta = dev.real.reshape(shape), dev.imag.reshape(shape)
     a, b = _coords(ctx, w) if coords is None else coords
-    return c0 * w + np.concatenate([ctx.left @ (alpha * a + beta * b),
-                                    ctx.right @ (alpha * b - beta * a)])
+    return c0 * w + np.concatenate([np.dot(ctx.left, alpha * a + beta * b),
+                                    np.dot(ctx.right, alpha * b - beta * a)])
 
 
 def resolve(ctx: DrsContext, w: np.ndarray) -> np.ndarray:

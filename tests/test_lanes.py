@@ -1,7 +1,7 @@
 """The two-lane line search gives the bits of the one-lane search.
 
 Lanes only engage on large systems, so these tests force them on for
-small games: the size threshold drops to zero, the BLAS thread
+small games: the size thresholds drop to zero, the BLAS thread
 variables read 1 and the process counts two usable CPUs.
 """
 
@@ -20,10 +20,12 @@ import pytest
 from helpers import philox, random_game
 import saddle_ssn.hybrid as hybrid
 import saddle_ssn.jacobian as jacobian
+import saddle_ssn.prm as prm
 import saddle_ssn.ssn as ssn_module
 from saddle_ssn.game import MatrixGame
 from saddle_ssn.hybrid import HybridConfig, run_hybrid
 from saddle_ssn.jacobian import LinearSolveError
+from saddle_ssn.prm import run_prm
 from saddle_ssn.splitting import ResidualValue, build_context, residual
 from saddle_ssn.ssn import (ELL, LAMBDA_CAP, SsnConfig, SsnState,
                             line_search_accept)
@@ -53,13 +55,32 @@ def set_lanes(monkeypatch, lanes):
         monkeypatch.setenv(var, "1")
     monkeypatch.setattr(jacobian, "usable_cpus", lambda: 2)
     monkeypatch.setattr(jacobian, "_one_lane", False)
-    monkeypatch.setattr(jacobian, "_LANE_MIN_K", 0 if lanes == 2 else 10**9)
+    gate = 0 if lanes == 2 else 10**9
+    monkeypatch.setattr(jacobian, "_LANE_MIN_K", gate)
+    monkeypatch.setattr(jacobian, "_LANE_MIN_NM", gate)
     assert jacobian.newton_lanes() == 2
 
 
 def on_other_threads(calls):
     main = threading.get_ident()
     return sum(tid != main for _, tid in calls)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Thread of every x'A a round hands to the lane, in call order."""
+    calls = []
+    real = jacobian.run_if_idle
+
+    def recorded(fn, *args):
+        def job(*job_args):
+            calls.append(threading.get_ident())
+            return fn(*job_args)
+
+        return real(job, *args)
+
+    monkeypatch.setattr(prm, "run_if_idle", recorded)
+    return calls
 
 
 @pytest.fixture
@@ -322,6 +343,113 @@ class TestContextOnTheLane:
         assert len(threads) == 1 and threads != [threading.get_ident()]
 
 
+def prm_bits(game, scheme):
+    res = run_prm(game, scheme=scheme, max_iters=1000)
+    rows = [(r.iteration, r.phase, r.gap.hex()) for r in res.trace]
+    return (res.status, res.iterations, rows, res.profile.x.tobytes(),
+            res.profile.y.tobytes())
+
+
+class TestRoundsOnTheLane:
+    @pytest.mark.parametrize("method", ["prm-qa", "prm-li", "pssn-v1",
+                                        "pssn-v2", "hpssn"])
+    def test_two_lanes_reproduce_one_lane_bits(self, monkeypatch, products,
+                                               method):
+        monkeypatch.setattr(hybrid, "THETA_UPDATE_PERIOD", 100)
+        real_run = hybrid.run_on_lane
+
+        def built_first(size, fn, *args):
+            # A hybrid's rounds leave the lane to its context build; a
+            # build that started late could take the lane for every round.
+            future = real_run(size, fn, *args)
+            if future is not None:
+                future.exception()
+            return future
+
+        monkeypatch.setattr(hybrid, "run_on_lane", built_first)
+        game = random_game(philox(4), 24, 30)
+        bits, threads = {}, {}
+        for lanes in (1, 2):
+            set_lanes(monkeypatch, lanes)
+            products.clear()
+            if method.startswith("prm-"):
+                bits[lanes] = prm_bits(game, method[4:])
+            else:
+                bits[lanes] = hybrid_bits(game, method,
+                                          switch_gap_threshold=1e-1)
+            threads[lanes] = list(products)
+        assert bits[1] == bits[2]
+        assert threads[1] == []
+        # x'A ran on the lane, and only there.
+        assert threads[2] and threading.get_ident() not in threads[2]
+
+    def test_rounds_never_queue_behind_a_context_build(self, monkeypatch,
+                                                       products):
+        set_lanes(monkeypatch, 2)
+        release = threading.Event()
+
+        def blocked(game, gamma):
+            release.wait()
+            return build_context(game, gamma)
+
+        builds = []
+        real_run = hybrid.run_on_lane
+
+        def keep(size, fn, *args):
+            builds.append(real_run(size, fn, *args))
+            return builds[-1]
+
+        handed = []
+        recorded = prm.run_if_idle
+
+        def guarded(fn, *args):
+            future = recorded(fn, *args)
+            handed.append((release.is_set(), future is not None))
+            # A product queued behind the blocked build would wait for
+            # ever: free the build, and the assertion below fails.
+            if future is not None or len(handed) == 50:
+                release.set()
+                builds[0].result()
+            return future
+
+        monkeypatch.setattr(hybrid, "build_context", blocked)
+        monkeypatch.setattr(hybrid, "run_on_lane", keep)
+        monkeypatch.setattr(prm, "run_if_idle", guarded)
+        out = run_hybrid(random_game(philox(4), 24, 30), HybridConfig(
+            switch_gap_threshold=1e-6, max_fo_iters=100))
+        assert out.status == "fo_budget_exhausted" and len(builds) == 1
+        # Rounds 1-50 ran x'A on the calling thread, 51-100 on the lane.
+        assert handed == [(False, False)] * 50 + [(True, True)] * 50
+        assert len(products) == 50
+        assert threading.get_ident() not in products
+
+
+class TestDotIsMatmul:
+    # The rounds and the spectral maps spell their products np.dot, which
+    # drops the GIL; they must keep the bits of @ on either memory order.
+    @pytest.mark.parametrize("shape", [(24, 30), (100, 100), (400, 800)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_the_products_on_the_lanes_keep_their_bits(self, shape, order):
+        rng = philox(5)
+        n, m = shape
+        a = np.asarray(rng.uniform(-1.0, 1.0, size=shape), order=order)
+        game = MatrixGame.from_payoff(a)
+        assert game.payoff.flags[f"{order}_CONTIGUOUS"]
+        a = game.payoff
+        for _ in range(3):
+            x, y = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+            assert np.dot(a, y).tobytes() == (a @ y).tobytes()
+            assert np.dot(x, a).tobytes() == (x @ a).tobytes()
+        ctx = build_context(game)
+        r = min(n, m)
+        for cols in ((), (3,)):
+            w = rng.standard_normal((n + m,) + cols)
+            u = rng.standard_normal((r,) + cols)
+            for f, v in ((ctx.left.T, w[:n]), (ctx.right.T, w[n:]),
+                         (ctx.left, u), (ctx.right, u)):
+                assert np.dot(f, v).tobytes() == (f @ v).tobytes()
+
+
 LAZY_LANE_PROBE = textwrap.dedent("""
     import threading
     import saddle_ssn.jacobian as jacobian
@@ -337,14 +465,38 @@ LAZY_LANE_PROBE = textwrap.dedent("""
 """)
 
 
+FIRST_ORDER_PROBE = textwrap.dedent("""
+    import threading
+    import saddle_ssn.jacobian as jacobian
+    from saddle_ssn import (FomConfig, extragradient_run, instances,
+                            ogda_run, run_prm)
+
+    jacobian.usable_cpus = lambda: 2
+    assert jacobian.newton_lanes() == 2
+    game = instances.generate(instances.InstanceSpec(
+        kind="normal", n=100, m=100, seed=0))
+    for scheme in ("qa", "li"):
+        assert run_prm(game, scheme=scheme, max_iters=300).iterations > 0
+    for run in (ogda_run, extragradient_run):
+        assert run(game, FomConfig(max_iters=300)).iterations > 0
+    assert jacobian._lane is None and threading.active_count() == 1
+""")
+
+
+def run_probe(probe):
+    env = dict(os.environ, PYTHONPATH=SRC,
+               **{var: "1" for var in THREAD_VARS})
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 class TestSmallGamesStayOnOneLane:
     def test_a_small_v2_run_never_makes_the_lane(self):
-        env = dict(os.environ, PYTHONPATH=SRC,
-                   **{var: "1" for var in THREAD_VARS})
-        done = subprocess.run([sys.executable, "-c", LAZY_LANE_PROBE],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert done.returncode == 0, done.stderr
+        run_probe(LAZY_LANE_PROBE)
+
+    def test_first_order_runs_at_100x100_never_make_the_lane(self):
+        run_probe(FIRST_ORDER_PROBE)
 
 
 class TestSharedLane:
