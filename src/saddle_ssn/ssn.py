@@ -26,8 +26,9 @@ every point it visits, the entry point and the point after every
 accepted step, drive_newton runs an exact support crossover (see
 basin_hop) before any line search, as LP crossover does after an
 interior or first-order method: it screens the square blocks one flip
-or exchange from the current supports from one factorization and
-solves directly only those the screen passes.  The first that
+or exchange, or two adds, from the current supports from one
+factorization and solves directly only those the screen passes.
+Supports three or more apart in size get no block.  The first that
 certifies ends the run; a line search that stalls ends it too, since
 the crossover has already failed at that point.
 Termination is by exact duality gap of the projected iterate, not by
@@ -242,63 +243,112 @@ def _equalizer(a: np.ndarray) -> np.ndarray | None:
     return w / total if np.isfinite(total) and total > 0.0 else None
 
 
+def _ranked_pairs(first: np.ndarray, second: np.ndarray,
+                  distinct: bool) -> np.ndarray:
+    """Pairs (first[i], second[j]) by the farther rank max(i, j), then the
+    nearer min(i, j), then j; with ``distinct``, one list and i < j only.
+    At most ``_CROSSOVER_CANDIDATES`` rows."""
+    cap = _CROSSOVER_CANDIDATES
+    a, b = first.tolist(), second.tolist()
+    pairs = []
+    for far in range(max(len(a), len(b))):
+        if len(pairs) >= cap:
+            break
+        for near in range(far):
+            if not distinct and far < len(a) and near < len(b):
+                pairs.append((a[far], b[near]))
+            if far < len(b) and near < len(a):
+                pairs.append((a[near], b[far]))
+        if not distinct and far < min(len(a), len(b)):
+            pairs.append((a[far], b[far]))
+    return np.array(pairs[:cap], dtype=np.intp).reshape(-1, 2)
+
+
 def _candidates(support: np.ndarray, order: np.ndarray,
                 n: int) -> np.ndarray:
-    """The square blocks a crossover call tries, as (add, drop) pairs.
+    """The square blocks a crossover call tries, in the order it tries them.
 
-    Each row names the coordinate added to the supports and the one
-    dropped from them, -1 for none.  With e = |S| - |T|: for e = 0, no
-    flip (the block (S, T)), then exchanges, each add in ``order``
-    paired with every support coordinate of the same player in
-    ``order``; for |e| = 1, the single flips that square the block, a
-    drop from the larger side or an add to the smaller one, in
-    ``order``.  At most ``_CROSSOVER_CANDIDATES`` rows.
+    Each row lists the coordinates to toggle in the supports, -1 for
+    none.  With e = |S| - |T|: for e = 0, no toggle (the block (S, T)),
+    then exchanges, each add in ``order`` paired with every support
+    coordinate of the same player in ``order``, then borders, one row
+    and one column added; for |e| = 1, the single flips that square the
+    block, a drop from the larger side or an add to the smaller one, in
+    ``order``; for |e| = 2, two adds to the smaller side; for |e| >= 3,
+    none.  A flip or exchange lists its add first.  Borders and two-add
+    pairs take the nearest unsupported strategies in ``order``, by the
+    farther one's rank, then the nearer one's.  At most
+    ``_CROSSOVER_CANDIDATES`` rows per family.
     """
     cap = _CROSSOVER_CANDIDATES
     excess = support[:n].sum() - support[n:].sum()
-    if excess:
+    adds = order[~support[order]]
+    if abs(excess) == 1:
         flips = order[support[order] == ((order < n) == (excess > 0))][:cap]
         drop = support[flips]
         return np.column_stack([np.where(drop, -1, flips),
                                 np.where(drop, flips, -1)])
+    if abs(excess) == 2:
+        adds = adds[(adds < n) == (excess < 0)][:cap]
+        return _ranked_pairs(adds, adds, distinct=True)
+    if excess:
+        return np.empty((0, 2), dtype=np.intp)
     drops = order[support[order]]
     pairs = [(-1, -1)]
-    for add in order[~support[order]].tolist():
+    for add in adds.tolist():
         if len(pairs) == cap:
             break
         same = drops[(drops < n) == (add < n)][:cap - len(pairs)]
         pairs.extend((add, drop) for drop in same.tolist())
-    return np.array(pairs)
+    borders = _ranked_pairs(adds[adds < n][:cap], adds[adds >= n][:cap],
+                            distinct=False)
+    return np.concatenate([np.array(pairs), borders])
 
 
-def _block(support: np.ndarray, pair: np.ndarray, n: int):
-    """Rows and columns of the block one (add, drop) pair names."""
+def _block(support: np.ndarray, toggles: np.ndarray, n: int):
+    """Rows and columns of the block one candidate row names."""
     mask = support.copy()
-    mask[pair[pair >= 0]] ^= True
+    mask[toggles[toggles >= 0]] ^= True
     return np.flatnonzero(mask[:n]), np.flatnonzero(mask[n:])
 
 
-def _screen(game, support: np.ndarray, pairs: np.ndarray,
-            target: float) -> np.ndarray:
-    """Which candidate blocks may certify, judged from one factorization.
+def _base_inverse(k0: np.ndarray) -> np.ndarray | None:
+    """The inverse of a screen's bordered base block; None when the block
+    is singular or its condition number exceeds ``_BASE_COND_MAX``."""
+    try:
+        g = np.linalg.inv(k0)
+    except np.linalg.LinAlgError:
+        return None
+    cond = np.abs(k0).sum(axis=0).max() * np.abs(g).sum(axis=0).max()
+    return g if cond <= _BASE_COND_MAX else None
 
-    The base block is the first of the smallest candidates: (S, T) when
-    |S| = |T|, else the first drop.  Every other candidate is the base
-    with at most one row and one column replaced or, where it is one
-    larger, bordered by one of each.  Embed the bordered base K0 = [B,
-    -1; 1', 0] as blockdiag(K0, 1), so that each candidate's bordered
-    matrix differs from it in at most one row and one column: a
-    rank-two update (Woodbury's identity).  With G = K0^(-1), the
-    border column and row of each candidate's inverse are its
-    equalizers y and x (see ``_equalizer``) at O(k^2) each, batched
-    over all candidates in two products with G.  The screen clips and
-    renormalizes them as ``_equalizer`` does and takes their duality
-    gaps in two more products.  A block fails the screen when its gap
-    is finite and above the target by more than ``_SCREEN_SLACK`` of
-    the payoff's scale.  Every block passes when the base is singular
-    or its condition number exceeds ``_BASE_COND_MAX``.
+
+def _screened_gaps(x: np.ndarray, payoff_rows: np.ndarray, y: np.ndarray,
+                   payoff_cols: np.ndarray) -> np.ndarray:
+    """Duality gaps of the screen's equalizers, one candidate a row.
+
+    Clips and renormalizes x and y in place, as ``_equalizer`` does;
+    their columns weigh the rows of ``payoff_rows`` and ``payoff_cols``
+    (rows and transposed columns of A).
     """
-    n, count = game.n, len(pairs)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for w in (x, y):
+            np.maximum(w, 0.0, out=w)
+            w /= w.sum(axis=1, keepdims=True)
+        return ((x @ payoff_rows).max(axis=1)
+                - (y @ payoff_cols).min(axis=1))
+
+
+def _swap_gaps(game, support: np.ndarray, pairs: np.ndarray):
+    """The screen's gaps for |e| <= 1 (see ``_screen``), and the exponent
+    e of the power of two that scales the blocks; None when the base
+    cannot be inverted."""
+    n = game.n
+    # Borders, the rows whose second entry is an add, come last.
+    second = pairs[:, 1]
+    borders = pairs[(second >= 0) & ~support[second]]
+    pairs = pairs[:len(pairs) - len(borders)]
+    count = len(pairs)
     add, drop = pairs.T
     base = int(np.argmax(add < 0))
     base_drop = drop[base]
@@ -313,21 +363,24 @@ def _screen(game, support: np.ndarray, pairs: np.ndarray,
     back_in, out = np.where(moved, base_drop, -1), np.where(moved, drop, -1)
     at = np.arange(count)
     # Local indices per player: the base's k lines, the border (k), the
-    # unit (dummy) index of the embedding (k + 1), then the added lines.
-    # The border and dummy borrow a base line's payoffs, which the
-    # equalizers below weigh by zero.
+    # unit (dummy) index of the embedding (k + 1), then the added lines,
+    # the borders' among them.  The border and dummy borrow a base
+    # line's payoffs, which the equalizers below weigh by zero.
     sides = []
-    for line0, on in ((rows0, lambda c: (c >= 0) & (c < n)),
-                      (cols0, lambda c: c >= n)):
+    for line0, on, bordering in (
+            (rows0, lambda c: (c >= 0) & (c < n), borders[:, 0]),
+            (cols0, lambda c: c >= n, borders[:, 1])):
         added = np.where(on(add), add, np.where(on(back_in), back_in, -1))
         has = added >= 0
-        new = np.array(sorted(set(added[has].tolist())), dtype=np.intp)
+        new = np.array(sorted(set(added[has].tolist())
+                              | set(bordering.tolist())), dtype=np.intp)
         where = np.repeat(np.arange(k + 2)[None], count, axis=0)
         pos = np.where(on(out), np.searchsorted(line0, out), k + 1)
         where[has, pos[has]] = k + 2 + np.searchsorted(new, added[has])
         line = np.concatenate([line0, line0[:1], line0[:1], new])
-        sides.append((line, where, np.where(has, pos, 0), has))
-    (rows, rmap, rpos, has_r), (cols, cmap, qpos, has_q) = sides
+        sides.append((line, where, np.where(has, pos, 0), has,
+                      k + 2 + np.searchsorted(new, bordering)))
+    (rows, rmap, rpos, has_r, br), (cols, cmap, qpos, has_q, bc) = sides
     cols = cols - n
     payoff_rows, payoff_cols = game.payoff[rows], game.payoff[:, cols].T
     ext = payoff_rows[:, cols]
@@ -336,13 +389,9 @@ def _screen(game, support: np.ndarray, pairs: np.ndarray,
     ext[:, k], ext[k], ext[k + 1], ext[:, k + 1] = -1.0, 1.0, 0.0, 0.0
     ext[k, k], ext[k + 1, k + 1] = 0.0, 1.0
     k0 = ext[:k + 2, :k + 2]
-    try:
-        g = np.linalg.inv(k0)
-    except np.linalg.LinAlgError:
-        return np.ones(count, dtype=bool)
-    cond = np.abs(k0).sum(axis=0).max() * np.abs(g).sum(axis=0).max()
-    if not cond <= _BASE_COND_MAX:
-        return np.ones(count, dtype=bool)
+    g = _base_inverse(k0)
+    if g is None:
+        return None
     # Candidate c sets row rpos by v1 and column qpos by u2, which skips
     # row rpos, already set.
     v1 = ext[rmap[at, rpos][:, None], cmap] - k0[rpos]
@@ -354,6 +403,12 @@ def _screen(game, support: np.ndarray, pairs: np.ndarray,
     # The 2x2 capacitance I + V'GU with U = [e_rpos, u2], V = [v1, e_qpos].
     c11, c12 = 1.0 + v1g[at, rpos], np.einsum("ij,ij->i", v1g, u2)
     c21, c22 = g[qpos, rpos], 1.0 + gu2[at, qpos]
+    # A border appends row r and column c to the base (S, T), its
+    # bordered matrix [K0, u; v', d] with u = (A_Sc, 1, 0), v = (A_rT,
+    # -1, 0) and d = A_rc: the inverse is G's plus a rank-one term over
+    # the scalar Schur complement d - v'Gu.
+    u, v = ext[:k + 2, bc], ext[br, :k + 2]
+    gu, vg = g @ u, v @ g
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         det = c11 * c22 - c12 * c21
         # y: column k (the border) of the inverse; x: minus its row k.
@@ -363,19 +418,113 @@ def _screen(game, support: np.ndarray, pairs: np.ndarray,
         a1, a2 = g[k, rpos] / det, gu2[:, k] / det
         x = ((a1 * c22 - a2 * c21)[:, None] * v1g
              + (a2 * c11 - a1 * c12)[:, None] * g[qpos] - g[k])
-        # Zero the border and the dummy where no line took its place.
-        for w, bordered in ((y, has_q & (qpos == k + 1)),
-                            (x, has_r & (rpos == k + 1))):
-            np.maximum(w, 0.0, out=w)
-            w[:, k] = 0.0
-            w[~bordered, k + 1] = 0.0
-            w /= w.sum(axis=1, keepdims=True)
-        x_loc = np.zeros((count, len(rows)))
-        y_loc = np.zeros((count, len(cols)))
-        x_loc[at[:, None], rmap] = x
-        y_loc[at[:, None], cmap] = y
-        gaps = ((x_loc @ payoff_rows).max(axis=1)
-                - (y_loc @ payoff_cols).min(axis=1))
+        schur = ext[br, bc] - np.einsum("ij,ji->i", vg, u)
+        ty, tx = vg[:, k] / schur, gu[k] / schur
+        y_border = g[:, k] + gu.T * ty[:, None]
+        x_border = -g[k] - vg * tx[:, None]
+    # Zero the border and the dummy where no line took its place.
+    for w, bordered in ((y, has_q & (qpos == k + 1)),
+                        (x, has_r & (rpos == k + 1))):
+        w[:, k] = 0.0
+        w[~bordered, k + 1] = 0.0
+    x_loc = np.zeros((count + len(borders), len(rows)))
+    y_loc = np.zeros((count + len(borders), len(cols)))
+    x_loc[at[:, None], rmap] = x
+    y_loc[at[:, None], cmap] = y
+    at = np.arange(count, len(x_loc))
+    x_loc[count:, :k], x_loc[at, br] = x_border[:, :k], tx
+    y_loc[count:, :k], y_loc[at, bc] = y_border[:, :k], -ty
+    return _screened_gaps(x_loc, payoff_rows, y_loc, payoff_cols), e
+
+
+def _two_add_gaps(game, support: np.ndarray, pairs: np.ndarray):
+    """The screen's gaps for |e| = 2, as ``_swap_gaps`` returns them.
+
+    Orient A so that the adds are columns (A' when they are rows; the
+    row equalizer of a block is the column equalizer of its transpose,
+    so the two swap back).  The larger side keeps its k + 2 lines, the
+    smaller its k, plus two adds.  The base is the first pair's block,
+    bordered to K0 = [B, -1; 1', 0] with the pair in slots k and k + 1;
+    a candidate puts its own pair there, two column replacements, so its
+    inverse is a rank-two (Woodbury) update of G = K0^(-1).  One product
+    G W with the bordered columns W of every add makes each update's 2x2
+    capacitance and both border lines O(k).
+    """
+    n, count = game.n, len(pairs)
+    column_adds = support[:n].sum() > support[n:].sum()
+    if column_adds:
+        a, big, small, lines = game.payoff, support[:n], support[n:], pairs - n
+    else:
+        a, big, small, lines = game.payoff.T, support[n:], support[:n], pairs
+    adds = np.array(sorted(set(lines.ravel().tolist())), dtype=np.intp)
+    slot = np.searchsorted(adds, lines)
+    rows, cols = np.flatnonzero(big), np.append(np.flatnonzero(small), adds)
+    k, b = len(rows) - 2, len(rows)
+    payoff_rows, payoff_cols = a[rows], a[:, cols].T
+    w = payoff_rows[:, cols]
+    e = _pow2_exponent(w)
+    w = np.vstack([np.ldexp(w, -e), np.ones(len(cols))])
+    k0 = np.column_stack([w[:, :k], w[:, k + slot[0]],
+                          np.append(-np.ones(b), 0.0)])
+    g = _base_inverse(k0)
+    if g is None:
+        return None
+    gw = g @ w[:, k:]
+    i, j = slot.T
+    c11, c12, c21, c22 = gw[k, i], gw[k, j], gw[k + 1, i], gw[k + 1, j]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = c11 * c22 - c12 * c21
+        # y: column b (the border) of the inverse, G e_b - G U C^(-1) E'G e_b
+        # with U = [w_i - w_i0, w_j - w_j0] and E = [e_k, e_k+1].
+        r1, r2 = g[k, b] / det, g[k + 1, b] / det
+        z1, z2 = c22 * r1 - c12 * r2, c11 * r2 - c21 * r1
+        y = g[:, b] - gw[:, i].T * z1[:, None] - gw[:, j].T * z2[:, None]
+        # x: minus row b, with G[b] U = (gw[b, i], gw[b, j]).
+        s1, s2 = gw[b, i] / det, gw[b, j] / det
+        w1, w2 = s1 * c22 - s2 * c21, s2 * c11 - s1 * c12
+        x = w1[:, None] * g[k] + w2[:, None] * g[k + 1] - g[b]
+    at = np.arange(count)
+    y_loc = np.zeros((count, len(cols)))
+    y_loc[:, :k] = y[:, :k]
+    y_loc[at, k + i], y_loc[at, k + j] = y[:, k] + z1, y[:, k + 1] + z2
+    found = [(x[:, :b], payoff_rows), (y_loc, payoff_cols)]
+    if not column_adds:
+        found.reverse()
+    (x, payoff_rows), (y, payoff_cols) = found
+    return _screened_gaps(x, payoff_rows, y, payoff_cols), e
+
+
+def _screen(game, support: np.ndarray, pairs: np.ndarray,
+            target: float) -> np.ndarray:
+    """Which candidate blocks may certify, judged from one factorization.
+
+    For |e| <= 1 (``_swap_gaps``) the base block is the first of the
+    smallest candidates: (S, T) when |S| = |T|, else the first drop.
+    Every other flip or exchange is the base with at most one row and
+    one column replaced or, where it is one larger, bordered by one of
+    each.  Embed the bordered base K0 = [B, -1; 1', 0] as
+    blockdiag(K0, 1), so that each candidate's bordered matrix differs
+    from it in at most one row and one column: a rank-two update
+    (Woodbury's identity).  With G = K0^(-1), the border column and row
+    of each candidate's inverse are its equalizers y and x (see
+    ``_equalizer``) at O(k^2) each, batched over all candidates in two
+    products with G.  An e = 0 border reuses G through the Schur
+    complement of its one new row and column, and a |e| = 2 candidate
+    is the first pair's block with two columns replaced
+    (``_two_add_gaps``); both cost O(k) each after one product.  The
+    screen clips and renormalizes the equalizers as ``_equalizer`` does
+    and takes their duality gaps in two more products.  A block fails
+    the screen when its gap is finite and above the target by more
+    than ``_SCREEN_SLACK`` of the payoff's scale.  Every block passes
+    when the base is singular or its condition number exceeds
+    ``_BASE_COND_MAX``.
+    """
+    n = game.n
+    two_adds = abs(support[:n].sum() - support[n:].sum()) == 2
+    found = (_two_add_gaps if two_adds else _swap_gaps)(game, support, pairs)
+    if found is None:
+        return np.ones(len(pairs), dtype=bool)
+    gaps, e = found
     return ~(gaps > target + np.ldexp(_SCREEN_SLACK, e))
 
 
@@ -388,6 +537,8 @@ def _first_certified(game, support: np.ndarray, pairs: np.ndarray,
     gap of the resulting profile decides.  None when no block certifies.
     """
     n = game.n
+    if not len(pairs):
+        return None
     for c in np.flatnonzero(_screen(game, support, pairs, target)):
         rows, cols = _block(support, pairs[c], n)
         block = game.payoff[np.ix_(rows, cols)]
@@ -411,9 +562,12 @@ def basin_hop(ctx: DrsContext, state: SsnState, config: SsnConfig) -> bool:
     an extreme equilibrium on a square block (Shapley and Snow).  So
     with e = |S| - |T| only square blocks are tried (``_candidates``):
     for e = 0 (S, T), then the same-player exchanges, as a point that
-    keeps both of two near-duplicate strategies needs; for |e| = 1 the
-    flips that square the block; for |e| >= 2 none, and the call
-    returns False at once.  A drop ranks by its entry of P(z), an add by
+    keeps both of two near-duplicate strategies needs, then the borders
+    by one row and one column; for |e| = 1 the flips that square the
+    block; for |e| = 2 the smaller side plus two of its nearest
+    unsupported strategies, as a point still two coordinates short of
+    the supports needs; for |e| >= 3 none, and the call returns False at
+    once.  A drop ranks by its entry of P(z), an add by
     its distance tau - z_i to its block's threshold tau = mean(z - p)
     over the support, nearest first; both are read from z and the
     residual's kept P(z), so a call that does not certify projects
@@ -426,7 +580,7 @@ def basin_hop(ctx: DrsContext, state: SsnState, config: SsnConfig) -> bool:
     """
     game, n, z, p = ctx.game, ctx.game.n, state.z, state.residual.p
     support = p > _SUPPORT_TOL
-    if abs(support[:n].sum() - support[n:].sum()) > 1:
+    if abs(support[:n].sum() - support[n:].sum()) > 2:
         return False
     shift = z - p
     tau = np.repeat([shift[:n][support[:n]].mean(),

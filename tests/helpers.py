@@ -87,10 +87,10 @@ def lp_value(payoff: np.ndarray) -> tuple[float, float]:
 def sequential_crossover(game: MatrixGame, support: np.ndarray, pairs,
                          target: float):
     """The support crossover's first certifying block, found by solving
-    every candidate (an (add, drop) pair, -1 for none) directly, in
-    order: the per-block equalizers on the block and its transpose, then
-    the exact duality gap.  Returns the candidate's index and profile,
-    or (None, None)."""
+    every candidate directly, in order: the per-block equalizers on the
+    block and its transpose, then the exact duality gap.  A candidate row
+    lists the coordinates to toggle in the supports, -1 for none.
+    Returns the candidate's index and profile, or (None, None)."""
     from saddle_ssn.game import duality_gap
     from saddle_ssn.ssn import _equalizer
 

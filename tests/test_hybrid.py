@@ -388,6 +388,58 @@ class TestCrossoverCorpus:
         return outcome
 
 
+class TestTwoAddCrossover:
+    """Runs the crossover finishes through a block two adds from the
+    supports: a |e| = 2 pair or an e = 0 border."""
+
+    @staticmethod
+    def signature(outcome):
+        return [(r.iteration, r.phase, r.gap, r.residual_norm, r.damping)
+                for r in outcome.trace]
+
+    @pytest.mark.parametrize("shape, key, excess", [((10, 12), 3, -2),
+                                                    ((8, 8), 2, 0)])
+    def test_a_run_is_its_one_add_run_cut_short(self, monkeypatch, shape,
+                                                key, excess):
+        game = random_game(philox(key), *shape)
+        config = HybridConfig(variant="pssn-v1")
+        calls = []
+        crossover = ssn.basin_hop
+
+        def recording(ctx, state, config):
+            support = state.residual.p > ssn._SUPPORT_TOL
+            verdict = crossover(ctx, state, config)
+            calls.append((int(support[:ctx.game.n].sum()
+                              - support[ctx.game.n:].sum()), verdict))
+            return verdict
+
+        monkeypatch.setattr(ssn, "basin_hop", recording)
+        outcome = run_hybrid(game, config)
+        assert calls[-1] == (excess, True)
+        # The same run without the blocks that add two coordinates:
+        # candidate rows that toggle two unsupported coordinates.
+        candidates = ssn._candidates
+
+        def one_add(support, order, n):
+            pairs = candidates(support, order, n)
+            adds = (pairs >= 0) & ~support[pairs]
+            return pairs[~adds.all(axis=1)]
+
+        monkeypatch.setattr(ssn, "_candidates", one_add)
+        longer = run_hybrid(game, config)
+        rows, before = self.signature(outcome), self.signature(longer)
+        assert len(before) > len(rows)
+        assert rows[:-1] == before[:len(rows) - 1]
+        gap = outcome.certificate.gap
+        assert outcome.status == STATUS_CONVERGED and gap <= 1e-12
+        assert outcome.trace[-1].gap == gap
+        assert outcome.certificate == duality_gap(game, outcome.profile)
+        value, width = lp_value(game.payoff)
+        x, y = outcome.profile.x, outcome.profile.y
+        slack = 8.0 * np.finfo(float).eps
+        assert abs(float(x @ game.payoff @ y) - value) <= gap + width + slack
+
+
 class TestRpsPerturbations:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("eps", [0.0, 1e-9, -1e-9, 1e-6, 1e-3, -1e-3])

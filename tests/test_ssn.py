@@ -404,10 +404,26 @@ class TestBasinHop:
         assert state.residual is res
         assert (state.lam, state.newton_steps_taken) == (lam, 0)
 
-    @pytest.mark.parametrize("rows, cols", [([0, 1, 2, 3], [0, 1]),
+    @pytest.mark.parametrize("rows, cols, adds", [([0, 1, 2, 3], [0, 1], 4),
+                                                  ([0, 1], [0, 1, 2, 3], 3)])
+    def test_supports_two_off_screen_only_two_add_blocks(self, blocks, solved,
+                                                         rows, cols, adds):
+        payoff = random_game(philox(2), 5, 6).payoff
+        ctx, state = state_on_supports(payoff, rows, cols)
+        z, lam, res = state.z.copy(), state.lam, state.residual
+        # Every pair of the smaller side's unsupported strategies is a
+        # candidate, each giving a 4x4 block.  At a zero target none
+        # passes the screen, so none is solved directly.
+        assert basin_hop(ctx, state, SsnConfig(target_gap=0.0)) is False
+        assert blocks == [(4, 4)] * (adds * (adds - 1) // 2)
+        assert solved == []
+        assert np.array_equal(state.z, z)
+        assert state.residual is res
+        assert (state.lam, state.newton_steps_taken) == (lam, 0)
+
+    @pytest.mark.parametrize("rows, cols", [([0, 1, 2, 3, 4], [0, 1]),
                                             ([0], [0, 1, 2, 4])])
-    def test_supports_two_off_square_return_at_once(self, blocks, rows,
-                                                    cols):
+    def test_supports_three_off_return_at_once(self, blocks, rows, cols):
         payoff = random_game(philox(2), 5, 6).payoff
         ctx, state = state_on_supports(payoff, rows, cols)
         z, lam, res = state.z.copy(), state.lam, state.residual
@@ -453,6 +469,8 @@ class TestScreen:
         # batched call must certify the very block, and bits, that solving
         # every candidate in turn certifies.  Targets are drawn from the
         # candidates' own gaps, so ties at the target are common.
+        # Supports are drawn up to two apart: flips, exchanges and e = 0
+        # borders, and the two-add blocks of |e| = 2.
         n, m = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
         rng = philox(data.draw(st.integers(0, 2**32 - 1)))
         if data.draw(st.booleans()):
@@ -460,8 +478,8 @@ class TestScreen:
         else:
             payoff = rng.uniform(-1.0, 1.0, size=(n, m))
         game = MatrixGame.from_payoff(payoff)
-        kx = data.draw(st.integers(1, min(n, m + 1)))
-        ky = data.draw(st.integers(max(1, kx - 1), min(m, kx + 1)))
+        kx = data.draw(st.integers(1, min(n, m + 2)))
+        ky = data.draw(st.integers(max(1, kx - 2), min(m, kx + 2)))
         support = np.zeros(n + m, dtype=bool)
         support[rng.choice(n, kx, replace=False)] = True
         support[n + rng.choice(m, ky, replace=False)] = True
@@ -487,6 +505,20 @@ class TestScreen:
         passed = ssn_module._screen(MatrixGame.from_payoff(payoff), support,
                                     pairs, 1e-12)
         assert passed.all()
+
+    def test_an_ill_conditioned_base_passes_every_two_add_block(self):
+        # Three rows and column 1 leave |e| = 2.  The two nearest adds,
+        # columns 0 and 3, are equal, so the first pair's block, the
+        # two-add screen's base, is singular.
+        payoff = np.column_stack([RPS, RPS[:, 0]])
+        support = np.zeros(7, dtype=bool)
+        support[[0, 1, 2, 4]] = True
+        game = MatrixGame.from_payoff(payoff)
+        pairs = ssn_module._candidates(support,
+                                       np.array([0, 1, 2, 3, 6, 4, 5]), 3)
+        assert pairs.tolist() == [[3, 6], [3, 5], [6, 5]]
+        assert ssn_module._two_add_gaps(game, support, pairs) is None
+        assert ssn_module._screen(game, support, pairs, 1e-12).all()
 
 
 def solve(ctx, z0, config, rows=None, start_iteration=0):
