@@ -25,12 +25,12 @@ minimum of the residual norm whose affine piece has no root.  So at
 every point it visits, the entry point and the point after every
 accepted step, drive_newton runs an exact support crossover (see
 basin_hop) before any line search, as LP crossover does after an
-interior or first-order method: it screens the square blocks one flip
-or exchange, or two adds, from the current supports from one
-factorization and solves directly only those the screen passes.
-Supports three or more apart in size get no block.  The first that
-certifies ends the run; a line search that stalls ends it too, since
-the crossover has already failed at that point.
+interior or first-order method: it screens the square blocks a flip,
+an exchange, a border or two adds away from the current supports by
+rank-two updates of one factorization, and solves directly only those
+the screen passes.  Supports three or more apart in size get no block.
+The first block that certifies ends the run; a line search that stalls
+ends it too, since the crossover has already failed at that point.
 Termination is by exact duality gap of the projected iterate, not by
 residual norm, so the returned certificate is unconditional.
 """
@@ -339,193 +339,115 @@ def _screened_gaps(x: np.ndarray, payoff_rows: np.ndarray, y: np.ndarray,
                 - (y @ payoff_cols).min(axis=1))
 
 
-def _swap_gaps(game, support: np.ndarray, pairs: np.ndarray):
-    """The screen's gaps for |e| <= 1 (see ``_screen``), and the exponent
-    e of the power of two that scales the blocks; None when the base
-    cannot be inverted."""
-    n = game.n
-    # Borders, the rows whose second entry is an add, come last.
-    second = pairs[:, 1]
-    borders = pairs[(second >= 0) & ~support[second]]
-    pairs = pairs[:len(pairs) - len(borders)]
-    count = len(pairs)
-    add, drop = pairs.T
-    base = int(np.argmax(add < 0))
-    base_drop = drop[base]
-    rows0, cols0 = _block(support, pairs[base], n)
-    cols0 = cols0 + n
-    k = len(rows0)
-    # Relative to the base, a candidate that drops another coordinate
-    # takes the base's drop back: it adds back_in and removes out, and
-    # adds its own add.  Per player, at most one coordinate comes in,
-    # and one goes out only where one comes in.
-    moved = drop != base_drop
-    back_in, out = np.where(moved, base_drop, -1), np.where(moved, drop, -1)
-    at = np.arange(count)
-    # Local indices per player: the base's k lines, the border (k), the
-    # unit (dummy) index of the embedding (k + 1), then the added lines,
-    # the borders' among them.  The border and dummy borrow a base
-    # line's payoffs, which the equalizers below weigh by zero.
-    sides = []
-    for line0, on, bordering in (
-            (rows0, lambda c: (c >= 0) & (c < n), borders[:, 0]),
-            (cols0, lambda c: c >= n, borders[:, 1])):
-        added = np.where(on(add), add, np.where(on(back_in), back_in, -1))
-        has = added >= 0
-        new = np.array(sorted(set(added[has].tolist())
-                              | set(bordering.tolist())), dtype=np.intp)
-        where = np.repeat(np.arange(k + 2)[None], count, axis=0)
-        pos = np.where(on(out), np.searchsorted(line0, out), k + 1)
-        where[has, pos[has]] = k + 2 + np.searchsorted(new, added[has])
-        line = np.concatenate([line0, line0[:1], line0[:1], new])
-        sides.append((line, where, np.where(has, pos, 0), has,
-                      k + 2 + np.searchsorted(new, bordering)))
-    (rows, rmap, rpos, has_r, br), (cols, cmap, qpos, has_q, bc) = sides
-    cols = cols - n
+def _screen(game, support: np.ndarray, pairs: np.ndarray,
+            target: float) -> np.ndarray:
+    """Which candidate blocks may certify, judged from one factorization.
+
+    The base block is the first of the smallest candidates.  Bordered to
+    K0 = [B, -1; 1', 0] and embedded as K = blockdiag(K0, 1), it has k
+    slots per player for its lines, then the border slot k and the
+    dummy slot k + 1.  A candidate's toggles, XORed with the base's,
+    name the lines that enter and leave its block.  In a one-player swap
+    (at most two lines) each entering line takes a leaving line's slot;
+    in a grow one row and one column enter and take the dummy slot.  So
+    each candidate's bordered matrix is K with at most two rows or
+    columns replaced, and with G = K^(-1) its inverse is a rank-two
+    (Woodbury) update with a 2x2 capacitance.  G is multiplied once by
+    the bordered lines that enter any block, after which a candidate
+    costs O(k).  The border column and row of each updated inverse are
+    the candidate's equalizers y and x (see ``_equalizer``); the screen
+    clips and renormalizes them and takes their duality gaps in two
+    more products.  A block fails the screen when its gap is finite and
+    above the target by more than ``_SCREEN_SLACK`` of the payoff's
+    scale.  Every block passes when the base is singular or its
+    condition number exceeds ``_BASE_COND_MAX``, and so does a block
+    whose capacitance determinant is below 1 / ``_BASE_COND_MAX`` in
+    magnitude.
+    """
+    n, count = game.n, len(pairs)
+    # A drop counts -1 and an add +1, so the smallest block sums least.
+    sizes = np.where(pairs >= 0, 1 - 2 * support[pairs], 0).sum(axis=1)
+    base = pairs[np.argmin(sizes)]
+    rows0, cols0 = _block(support, base, n)
+    k, s = len(rows0), len(rows0) + 2
+    # A line toggled by only one of the candidate and the base moves.
+    # One the candidate toggles enters where it is off the supports, one
+    # the base toggles where it is on them.  Sorted, with -1 for none, a
+    # swap's entering and leaving lines share their columns, and a grow
+    # lists its row first.
+    lines = np.concatenate([pairs, base[None].repeat(count, axis=0)], axis=1)
+    moves = (lines >= 0) & ((lines[:, :, None] == lines[:, None]).sum(2) == 1)
+    enters = moves & (support[lines] != [True, True, False, False])
+    ins = np.sort(np.where(enters, lines, -1), axis=1)[:, 2:]
+    outs = np.sort(np.where(moves & ~enters, lines, -1), axis=1)[:, 2:]
+    slot_of = np.full(len(support) + 1, k + 1)
+    slot_of[rows0], slot_of[n + cols0] = np.arange(k), np.arange(k)
+    slot = slot_of[outs]
+    # Local lines per player: the base's k, the border (k) and the dummy
+    # (k + 1), which borrow a base line's payoffs, then the entering
+    # ones.  An update's source is its line's index from the dummy on,
+    # 0 (the dummy in its own slot) when there is no update.
+    new = np.array(sorted(set(ins[ins >= 0].tolist())), dtype=np.intp)
+    nr, col = np.searchsorted(new, n), ins >= n
+    source = np.searchsorted(new, ins) + 1
+    rsrc = np.where((ins >= 0) & ~col, source, 0)
+    csrc = np.where(col, source - nr, 0)
+    rows = np.concatenate([rows0, rows0[:1], rows0[:1], new[:nr]])
+    cols = np.concatenate([cols0, cols0[:1], cols0[:1], new[nr:] - n])
     payoff_rows, payoff_cols = game.payoff[rows], game.payoff[:, cols].T
     ext = payoff_rows[:, cols]
     e = _pow2_exponent(ext)
     ext = np.ldexp(ext, -e)
     ext[:, k], ext[k], ext[k + 1], ext[:, k + 1] = -1.0, 1.0, 0.0, 0.0
     ext[k, k], ext[k + 1, k + 1] = 0.0, 1.0
-    k0 = ext[:k + 2, :k + 2]
-    g = _base_inverse(k0)
+    g = _base_inverse(ext[:s, :s])
     if g is None:
-        return None
-    # Candidate c sets row rpos by v1 and column qpos by u2, which skips
-    # row rpos, already set.
-    v1 = ext[rmap[at, rpos][:, None], cmap] - k0[rpos]
-    v1[~has_r] = 0.0
-    u2 = ext[rmap, cmap[at, qpos][:, None]] - k0[:, qpos].T
-    u2[at[has_r], rpos[has_r]] = 0.0
-    u2[~has_q] = 0.0
-    gu2, v1g = u2 @ g.T, v1 @ g
-    # The 2x2 capacitance I + V'GU with U = [e_rpos, u2], V = [v1, e_qpos].
-    c11, c12 = 1.0 + v1g[at, rpos], np.einsum("ij,ij->i", v1g, u2)
-    c21, c22 = g[qpos, rpos], 1.0 + gu2[at, qpos]
-    # A border appends row r and column c to the base (S, T), its
-    # bordered matrix [K0, u; v', d] with u = (A_Sc, 1, 0), v = (A_rT,
-    # -1, 0) and d = A_rc: the inverse is G's plus a rank-one term over
-    # the scalar Schur complement d - v'Gu.
-    u, v = ext[:k + 2, bc], ext[br, :k + 2]
-    gu, vg = g @ u, v @ g
+        return np.ones(count, dtype=bool)
+    # A row update puts row rho in slot p: u = e_p, v = rho - K[p].  A
+    # column update puts column gamma in slot q: u = gamma - K[:, q],
+    # v = e_q.  Per update, gu = G u and vg = v'G each come from one
+    # table, G and the products of G with every entering line.
+    wg, gw = ext[k + 1:, :s] @ g, (g @ ext[:s, k + 1:]).T
+    gu = np.concatenate([g.T, gw])[np.where(col, s + csrc, slot)]
+    vg = np.concatenate([g, wg])[np.where(col, slot, s + rsrc)]
+    (cc, ca), (rc, ra) = np.nonzero(col), np.nonzero(~col)
+    gu[cc, ca, slot[cc, ca]] -= 1.0
+    vg[rc, ra, slot[rc, ra]] -= 1.0
+    # A grow's two updates both write the dummy's diagonal entry, which
+    # becomes 1 + (0 - 1) + (gamma[k + 1] - 1): gamma[k + 1] = d + 1
+    # leaves the block's corner d there, and G u = G gamma + d e_(k+1).
+    grow = col[:, 1] & (slot[:, 1] > k)
+    gu[grow, 1, k + 1] = ext[k + 1 + rsrc[grow, 0], k + 1 + csrc[grow, 1]]
+    # The capacitance C = I + V'GU: v_a'G u_b is vg_a[p_b] where u_b =
+    # e_p, and gu_b[q_a] where v_a = e_q.  Only a grow has neither: its
+    # row v_0 = rho - e_(k+1) and column gu_1 give rho'gu_1 - d.
+    at = np.arange(count)[:, None, None]
+    cap = np.where(col[:, None, :], gu[at, [[0, 1]], slot[:, :, None]],
+                   vg[at, [[0], [1]], slot[:, None, :]]) + np.eye(2)
+    cap[grow, 0, 1] = (np.einsum("cs,cs->c", ext[k + 1 + rsrc[grow, 0], :s],
+                                 gu[grow, 1]) - gu[grow, 1, k + 1])
+    det = cap[:, 0, 0] * cap[:, 1, 1] - cap[:, 0, 1] * cap[:, 1, 0]
+    adj = cap[:, ::-1, ::-1].transpose(0, 2, 1) * [[1.0, -1.0], [-1.0, 1.0]]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        det = c11 * c22 - c12 * c21
         # y: column k (the border) of the inverse; x: minus its row k.
-        b1, b2 = v1g[:, k] / det, g[qpos, k] / det
-        y = (g[:, k] - g[:, rpos].T * (c22 * b1 - c12 * b2)[:, None]
-             - gu2 * (c11 * b2 - c21 * b1)[:, None])
-        a1, a2 = g[k, rpos] / det, gu2[:, k] / det
-        x = ((a1 * c22 - a2 * c21)[:, None] * v1g
-             + (a2 * c11 - a1 * c12)[:, None] * g[qpos] - g[k])
-        schur = ext[br, bc] - np.einsum("ij,ji->i", vg, u)
-        ty, tx = vg[:, k] / schur, gu[k] / schur
-        y_border = g[:, k] + gu.T * ty[:, None]
-        x_border = -g[k] - vg * tx[:, None]
-    # Zero the border and the dummy where no line took its place.
-    for w, bordered in ((y, has_q & (qpos == k + 1)),
-                        (x, has_r & (rpos == k + 1))):
-        w[:, k] = 0.0
-        w[~bordered, k + 1] = 0.0
-    x_loc = np.zeros((count + len(borders), len(rows)))
-    y_loc = np.zeros((count + len(borders), len(cols)))
-    x_loc[at[:, None], rmap] = x
-    y_loc[at[:, None], cmap] = y
-    at = np.arange(count, len(x_loc))
-    x_loc[count:, :k], x_loc[at, br] = x_border[:, :k], tx
-    y_loc[count:, :k], y_loc[at, bc] = y_border[:, :k], -ty
-    return _screened_gaps(x_loc, payoff_rows, y_loc, payoff_cols), e
-
-
-def _two_add_gaps(game, support: np.ndarray, pairs: np.ndarray):
-    """The screen's gaps for |e| = 2, as ``_swap_gaps`` returns them.
-
-    Orient A so that the adds are columns (A' when they are rows; the
-    row equalizer of a block is the column equalizer of its transpose,
-    so the two swap back).  The larger side keeps its k + 2 lines, the
-    smaller its k, plus two adds.  The base is the first pair's block,
-    bordered to K0 = [B, -1; 1', 0] with the pair in slots k and k + 1;
-    a candidate puts its own pair there, two column replacements, so its
-    inverse is a rank-two (Woodbury) update of G = K0^(-1).  One product
-    G W with the bordered columns W of every add makes each update's 2x2
-    capacitance and both border lines O(k).
-    """
-    n, count = game.n, len(pairs)
-    column_adds = support[:n].sum() > support[n:].sum()
-    if column_adds:
-        a, big, small, lines = game.payoff, support[:n], support[n:], pairs - n
-    else:
-        a, big, small, lines = game.payoff.T, support[n:], support[:n], pairs
-    adds = np.array(sorted(set(lines.ravel().tolist())), dtype=np.intp)
-    slot = np.searchsorted(adds, lines)
-    rows, cols = np.flatnonzero(big), np.append(np.flatnonzero(small), adds)
-    k, b = len(rows) - 2, len(rows)
-    payoff_rows, payoff_cols = a[rows], a[:, cols].T
-    w = payoff_rows[:, cols]
-    e = _pow2_exponent(w)
-    w = np.vstack([np.ldexp(w, -e), np.ones(len(cols))])
-    k0 = np.column_stack([w[:, :k], w[:, k + slot[0]],
-                          np.append(-np.ones(b), 0.0)])
-    g = _base_inverse(k0)
-    if g is None:
-        return None
-    gw = g @ w[:, k:]
-    i, j = slot.T
-    c11, c12, c21, c22 = gw[k, i], gw[k, j], gw[k + 1, i], gw[k + 1, j]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        det = c11 * c22 - c12 * c21
-        # y: column b (the border) of the inverse, G e_b - G U C^(-1) E'G e_b
-        # with U = [w_i - w_i0, w_j - w_j0] and E = [e_k, e_k+1].
-        r1, r2 = g[k, b] / det, g[k + 1, b] / det
-        z1, z2 = c22 * r1 - c12 * r2, c11 * r2 - c21 * r1
-        y = g[:, b] - gw[:, i].T * z1[:, None] - gw[:, j].T * z2[:, None]
-        # x: minus row b, with G[b] U = (gw[b, i], gw[b, j]).
-        s1, s2 = gw[b, i] / det, gw[b, j] / det
-        w1, w2 = s1 * c22 - s2 * c21, s2 * c11 - s1 * c12
-        x = w1[:, None] * g[k] + w2[:, None] * g[k + 1] - g[b]
-    at = np.arange(count)
-    y_loc = np.zeros((count, len(cols)))
-    y_loc[:, :k] = y[:, :k]
-    y_loc[at, k + i], y_loc[at, k + j] = y[:, k] + z1, y[:, k + 1] + z2
-    found = [(x[:, :b], payoff_rows), (y_loc, payoff_cols)]
-    if not column_adds:
-        found.reverse()
-    (x, payoff_rows), (y, payoff_cols) = found
-    return _screened_gaps(x, payoff_rows, y, payoff_cols), e
-
-
-def _screen(game, support: np.ndarray, pairs: np.ndarray,
-            target: float) -> np.ndarray:
-    """Which candidate blocks may certify, judged from one factorization.
-
-    For |e| <= 1 (``_swap_gaps``) the base block is the first of the
-    smallest candidates: (S, T) when |S| = |T|, else the first drop.
-    Every other flip or exchange is the base with at most one row and
-    one column replaced or, where it is one larger, bordered by one of
-    each.  Embed the bordered base K0 = [B, -1; 1', 0] as
-    blockdiag(K0, 1), so that each candidate's bordered matrix differs
-    from it in at most one row and one column: a rank-two update
-    (Woodbury's identity).  With G = K0^(-1), the border column and row
-    of each candidate's inverse are its equalizers y and x (see
-    ``_equalizer``) at O(k^2) each, batched over all candidates in two
-    products with G.  An e = 0 border reuses G through the Schur
-    complement of its one new row and column, and a |e| = 2 candidate
-    is the first pair's block with two columns replaced
-    (``_two_add_gaps``); both cost O(k) each after one product.  The
-    screen clips and renormalizes the equalizers as ``_equalizer`` does
-    and takes their duality gaps in two more products.  A block fails
-    the screen when its gap is finite and above the target by more
-    than ``_SCREEN_SLACK`` of the payoff's scale.  Every block passes
-    when the base is singular or its condition number exceeds
-    ``_BASE_COND_MAX``.
-    """
-    n = game.n
-    two_adds = abs(support[:n].sum() - support[n:].sum()) == 2
-    found = (_two_add_gaps if two_adds else _swap_gaps)(game, support, pairs)
-    if found is None:
-        return np.ones(len(pairs), dtype=bool)
-    gaps, e = found
-    return ~(gaps > target + np.ldexp(_SCREEN_SLACK, e))
+        z = (adj @ vg[:, :, k, None]) / det[:, None, None]
+        y = g[:, k] - (z.transpose(0, 2, 1) @ gu)[:, 0]
+        t = (gu[:, None, :, k] @ adj) / det[:, None, None]
+        x = (t @ vg)[:, 0] - g[k]
+    # Each slot's weight goes to the local line in it: an updated slot's
+    # to its source.  The border's and unused dummies' weights are zero.
+    local = []
+    for w, width, (c, a), src in ((x, len(rows), (rc, ra), rsrc),
+                                  (y, len(cols), (cc, ca), csrc)):
+        w_loc = np.zeros((count, width))
+        w_loc[:, :s] = w
+        w_loc[c, slot[c, a]] = 0.0
+        w_loc[c, k + 1 + src[c, a]] = w[c, slot[c, a]]
+        w_loc[:, k:k + 2] = 0.0
+        local.append(w_loc)
+    gaps = _screened_gaps(local[0], payoff_rows, local[1], payoff_cols)
+    return ((np.abs(det) < 1.0 / _BASE_COND_MAX)
+            | ~(gaps > target + np.ldexp(_SCREEN_SLACK, e)))
 
 
 def _first_certified(game, support: np.ndarray, pairs: np.ndarray,
@@ -571,7 +493,8 @@ def basin_hop(ctx: DrsContext, state: SsnState, config: SsnConfig) -> bool:
     its distance tau - z_i to its block's threshold tau = mean(z - p)
     over the support, nearest first; both are read from z and the
     residual's kept P(z), so a call that does not certify projects
-    nothing.  The blocks are screened from one factorization
+    nothing.  Every block is at most two row or column replacements of
+    the first of the smallest, so one factorization screens them all
     (``_screen``), and only those that pass are solved directly, in
     order (``_first_certified``).  Only the exact duality gap decides:
     the first at or below ``target_gap`` moves the state to the lift of

@@ -517,8 +517,42 @@ class TestScreen:
         pairs = ssn_module._candidates(support,
                                        np.array([0, 1, 2, 3, 6, 4, 5]), 3)
         assert pairs.tolist() == [[3, 6], [3, 5], [6, 5]]
-        assert ssn_module._two_add_gaps(game, support, pairs) is None
         assert ssn_module._screen(game, support, pairs, 1e-12).all()
+
+    def test_a_near_singular_candidate_passes_the_screen(self):
+        # Rows {0, 3, 5} and all five columns leave |e| = 2.  Candidate 6
+        # adds rows 6 and 2; its block is numerically singular, so its
+        # rank-two gap differs from the direct solve's, and only the
+        # capacitance guard lets the direct solve certify it.
+        payoff = np.array([[-1, 2, 1, 2, 1], [-1, -1, 1, -2, -1],
+                           [-1, -2, -2, -2, -1], [-1, 2, 0, -2, -2],
+                           [1, 0, 1, -2, -1], [2, -2, -1, -2, 0],
+                           [-2, -1, -2, -1, 0], [0, 2, -1, -2, -1]], float)
+        game = MatrixGame.from_payoff(payoff)
+        support = np.zeros(13, dtype=bool)
+        support[[0, 3, 5]] = support[8:] = True
+        order = np.array([6, 8, 7, 12, 11, 1, 4, 0, 5, 3, 10, 9, 2])
+        pairs = ssn_module._candidates(support, order, 8)
+        assert pairs[6].tolist() == [6, 2]
+        _, profile = sequential_crossover(game, support, pairs[6:7], math.inf)
+        target = duality_gap(game, profile).gap
+        index, want = sequential_crossover(game, support, pairs, target)
+        got = ssn_module._first_certified(game, support, pairs, target)
+        assert index == 6 and got is not None
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.y.tobytes() == want.y.tobytes()
+
+    def test_a_capped_list_of_adds_is_screened(self):
+        # All 3 rows and columns {0, 1} leave |e| = 1, and the order
+        # lists the 68 unsupported columns first, so the capped list
+        # holds adds only and the screen's base is the first of them.
+        game = random_game(philox(23), 3, 70)
+        support = np.zeros(73, dtype=bool)
+        support[:5] = True
+        order = np.concatenate([np.arange(5, 73), np.arange(5)])
+        pairs = ssn_module._candidates(support, order, 3)
+        assert len(pairs) == 64 and (pairs[:, 1] == -1).all()
+        assert not ssn_module._screen(game, support, pairs, 0.0).all()
 
 
 def solve(ctx, z0, config, rows=None, start_iteration=0):
