@@ -76,8 +76,8 @@ def _run_fom(game: MatrixGame, config: FomConfig,
 
     def operator(z: np.ndarray, out: np.ndarray) -> np.ndarray:
         """F(z) = (Ay, -A'x), written into ``out``."""
-        np.matmul(a, z[n:], out=out[:n])
-        np.matmul(z[:n], a, out=out[n:])
+        np.dot(a, z[n:], out=out[:n])
+        np.dot(z[:n], a, out=out[n:])
         np.negative(out[n:], out=out[n:])
         return out
 

@@ -10,6 +10,7 @@ and gap zero certifies a Nash equilibrium.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,35 +187,37 @@ def project_pair(n: int, z) -> np.ndarray:
 def _project_blocks(z: np.ndarray, sizes: tuple) -> np.ndarray:
     """Project consecutive blocks of z, of the given sizes, onto simplices.
 
-    The blocks go through one row-wise sort, running sum and threshold
-    search.  A shorter block is padded with -inf, which sorts last and
-    never passes the test.  Each row sums in the same sequential order
-    as a one-block ``cumsum``, and for finite values ``u > css / k`` is
-    exactly ``u - css / k > 0``, so every block gets the bits it would
-    get if projected on its own.
+    The blocks go through one row-wise sort of a copy of z, running sum
+    and threshold search, all as ufuncs and ndarray methods on contiguous
+    rows, which skip numpy's Python-level wrappers.  A shorter block is
+    padded with -inf, which sorts first and never passes the test.  Rows
+    sum sequentially, as a one-block ``cumsum``; for finite values
+    ``u > css / k`` is exactly ``u - css / k > 0``, so every block gets
+    its one-block bits.
     """
     if z.ndim != 1 or min(sizes) < 1:
         raise ValueError("projection input must be a nonempty vector")
-    if not np.isfinite(z).all():
+    if not np.logical_and.reduce(np.isfinite(z)):
         raise ValueError("projection input contains non-finite coordinates")
     blocks, width = len(sizes), max(sizes)
     if blocks * width == z.size:
-        rows = z.reshape(blocks, width)
+        u = z.reshape(blocks, width).copy()
     else:
-        rows = np.full((2, width), -np.inf)
-        rows[0, :sizes[0]] = z[:sizes[0]]
-        rows[1, :sizes[1]] = z[sizes[0]:]
-    u = np.sort(rows, axis=1)[:, ::-1]
-    css = np.add.accumulate(u, axis=1)
+        u = np.full((2, width), -np.inf)
+        u[0, :sizes[0]] = z[:sizes[0]]
+        u[1, :sizes[1]] = z[sizes[0]:]
+    u.sort(axis=1)
+    # Sorted ascending, entry j has rank width - j, and css sums from the
+    # largest entry down, as a descending cumsum.  A block's threshold is
+    # css / rank at its first passing entry, the ks[cond][-1] of one block.
+    css = np.empty((blocks, width))
+    np.add.accumulate(u[:, ::-1], axis=1, out=css[:, ::-1])
     css -= 1.0
-    # css[k - 1] / k for every rank k; a block's threshold is its entry at
-    # the last rank that passes, as in a one-block ks[cond][-1].
-    means = css / np.arange(1, width + 1)
+    means = np.divide(css, _ranks(width), out=css)
     passes = u > means
     out = np.empty(z.size)
     start = 0
-    for row, back in enumerate(np.argmax(passes[:, ::-1], axis=1).tolist()):
-        last = width - 1 - back
+    for row, last in enumerate(passes.argmax(axis=1).tolist()):
         # argmax also lands here when no rank passes, which happens once
         # u_1 - 1 rounds to u_1 (|u_1| of about 2**53 or more).
         if not passes[row, last]:
@@ -224,6 +227,12 @@ def _project_blocks(z: np.ndarray, sizes: tuple) -> np.ndarray:
         start = end
     np.maximum(out, 0.0, out=out)
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _ranks(width: int) -> np.ndarray:
+    """The ranks width..1 of an ascending row, built once per width."""
+    return _freeze(np.arange(float(width), 0.0, -1.0))
 
 
 def project_product(game: MatrixGame, z) -> StrategyProfile:

@@ -231,9 +231,10 @@ def _equalizer(a: np.ndarray) -> np.ndarray | None:
     Returns None when the solve fails or leaves no positive mass.
     """
     k = len(a)
-    lhs = np.block([[np.ldexp(a, -_pow2_exponent(a)), -np.ones((k, 1))],
-                    [np.ones((1, k)), np.zeros((1, 1))]])
-    rhs = np.append(np.zeros(k), 1.0)
+    lhs = np.zeros((k + 1, k + 1))
+    np.ldexp(a, -_pow2_exponent(a), out=lhs[:k, :k])
+    lhs[:k, k], lhs[k, :k] = -1.0, 1.0
+    rhs = np.concatenate((np.zeros(k), [1.0]))
     try:
         sol = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:

@@ -304,6 +304,37 @@ class TestProjectionBits:
             project_pair(1, np.array([0.5, 1e17, 0.0]))
 
 
+class TestProjectionInput:
+    """The kernel sorts a copy: it never writes its input (a solver's
+    iterate, or a frozen profile or payoff row), and its result is its
+    own writeable array."""
+
+    @staticmethod
+    def check(project, z):
+        frozen = z.copy()
+        frozen.setflags(write=False)
+        before = z.tobytes()
+        for v in (z, frozen):
+            out = project(v)
+            assert v.tobytes() == before
+            assert out.flags.writeable
+            assert not np.shares_memory(out, v)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(split_vectors())
+    @example((2, np.array([0.1, 0.7, 0.3, 0.2])))
+    def test_split_vectors_are_left_as_they_were(self, split):
+        n, z = split
+        self.check(lambda v: project_pair(n, v), z)
+        self.check(project_simplex, z)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(scaled_vectors())
+    @example(np.array([0.1, 0.7, 0.3]))
+    def test_single_blocks_are_left_as_they_were(self, p):
+        self.check(project_simplex, p)
+
+
 class TestProductProjection:
     def test_splits_blocks_independently(self):
         game = MatrixGame.from_payoff(PENNIES)

@@ -426,7 +426,8 @@ class TestRoundsOnTheLane:
 
 class TestDotIsMatmul:
     # The rounds and the spectral maps spell their products np.dot, which
-    # drops the GIL; they must keep the bits of @ on either memory order.
+    # drops the GIL, and EG and OGDA write F(z)'s two into halves of one
+    # buffer; they must keep the bits of @ on either memory order.
     @pytest.mark.parametrize("shape", [(24, 30), (100, 100), (400, 800)])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_the_products_on_the_lanes_keep_their_bits(self, shape, order):
@@ -440,6 +441,10 @@ class TestDotIsMatmul:
             x, y = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
             assert np.dot(a, y).tobytes() == (a @ y).tobytes()
             assert np.dot(x, a).tobytes() == (x @ a).tobytes()
+            buf = np.empty(n + m)
+            np.dot(a, y, out=buf[:n])
+            np.dot(x, a, out=buf[n:])
+            assert buf.tobytes() == (a @ y).tobytes() + (x @ a).tobytes()
         ctx = build_context(game)
         r = min(n, m)
         for cols in ((), (3,)):
