@@ -203,7 +203,8 @@ def _project_blocks(z: np.ndarray, sizes: tuple) -> np.ndarray:
     if blocks * width == z.size:
         u = z.reshape(blocks, width).copy()
     else:
-        u = np.full((2, width), -np.inf)
+        u = np.empty((2, width))
+        u.fill(-np.inf)
         u[0, :sizes[0]] = z[:sizes[0]]
         u[1, :sizes[1]] = z[sizes[0]:]
     u.sort(axis=1)
@@ -233,17 +234,6 @@ def _project_blocks(z: np.ndarray, sizes: tuple) -> np.ndarray:
 def _ranks(width: int) -> np.ndarray:
     """The ranks width..1 of an ascending row, built once per width."""
     return _freeze(np.arange(float(width), 0.0, -1.0))
-
-
-def project_product(game: MatrixGame, z) -> StrategyProfile:
-    """Project a lifted point onto the product of the two simplices."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[0] != game.n + game.m:
-        raise ValueError(
-            f"lifted point has dimension {z.shape[0]}, expected "
-            f"{game.n + game.m}")
-    p = project_pair(game.n, z)
-    return StrategyProfile.from_vectors(p[:game.n], p[game.n:])
 
 
 def saddle_operator(game: MatrixGame, z) -> np.ndarray:

@@ -25,19 +25,19 @@ the active rows of the SVD factors, O(min(n, m) (kx + ky)^2), two of
 them symmetric rank-k products, and one LU factorization per trial
 through numpy's LAPACK; nothing of size n + m is factored.
 
-A second lane, one worker thread, takes three jobs.  A line search may
-hand it its next trial's solve (``run_on_lane``): ``solve_ahead``
-returns the lane's future, the search passes it to that trial's
-``newton_solve``, which returns its result, and the search waits on any
-future it did not take before it returns.  Both lanes run the same pure
-solve on the same inputs, so the step is the same bits either way.
-Every hybrid builds its splitting context there while regret matching
-runs (see hybrid).  And a regret-matching round on a large payoff hands
-it x'A while the calling thread computes A y, when nothing else waits
-or runs there (``lane_products``, ``run_if_idle``; see prm).  The lane
-runs only on jobs large enough for numpy to release the GIL, in
-processes that may use two CPUs with BLAS pinned to one thread
-(``newton_lanes``).
+A second lane, one worker thread, takes three jobs, each only when no
+job waits or runs there (``run_if_idle``); a caller that finds it busy
+runs the job itself.  A line search may hand it its next trial's solve
+(``run_on_lane``): ``solve_ahead`` returns the lane's future, the
+search passes it to that trial's ``newton_solve``, which returns its
+result, and the search waits on any future it did not take before it
+returns.  Both lanes run the same pure solve on the same inputs, so the
+step is the same bits either way.  Every hybrid builds its splitting
+context there while regret matching runs (see hybrid).  And a
+regret-matching round on a large payoff hands it x'A while the calling
+thread computes A y (``lane_products``; see prm).  The lane runs only
+on jobs large enough for numpy to release the GIL, in processes that
+may use two CPUs with BLAS pinned to one thread (``newton_lanes``).
 """
 
 from __future__ import annotations
@@ -315,13 +315,13 @@ def run_on_lane(size: int, fn, *args) -> Future | None:
 
     ``size`` measures the job: kx + ky for a Newton solve, n + m for a
     context build.  The lane runs it when ``size`` is at least
-    ``_LANE_MIN_K`` and the process has two lanes (``newton_lanes``);
-    then this returns the lane's future, else None.
+    ``_LANE_MIN_K``, the process has two lanes (``newton_lanes``) and
+    the lane is idle (``run_if_idle``); then this returns the lane's
+    future, else None.
     """
     if size < _LANE_MIN_K or newton_lanes() < 2:
         return None
-    with _lane_lock:
-        return _submit(fn, args)
+    return run_if_idle(fn, *args)
 
 
 def lane_products(n: int, m: int) -> bool:
@@ -336,32 +336,28 @@ def lane_products(n: int, m: int) -> bool:
 def run_if_idle(fn, *args) -> Future | None:
     """Start ``fn(*args)`` on the second lane if no job waits or runs there.
 
-    Returns the lane's future, else None, so a caller's product never
-    queues behind a context build or a solve.
+    Returns the lane's future, else None, so no job ever queues behind
+    another; the caller then runs it itself.
     """
+    global _lane, _last
     with _lane_lock:
+        # One worker runs the jobs in order, so the lane is idle once
+        # its last job is done.
         last = None if _last is None else _last()
         if last is not None and not last.done():
             return None
-        return _submit(fn, args)
+        if _lane is None:
+            # Imported here: it adds about 4 ms to every CLI start.
+            from concurrent.futures import ThreadPoolExecutor
 
-
-def _submit(fn, args) -> Future:
-    # Called under _lane_lock.  One worker runs the jobs in order, so
-    # the lane is idle once its last job is done.
-    global _lane, _last
-    if _lane is None:
-        # Imported here: it adds about 4 ms to every CLI start.
-        from concurrent.futures import ThreadPoolExecutor
-
-        # One thread serves the process: a thread per hand-off measured
-        # the same time, but one benchmark run in six peaked 7 MB
-        # higher, as a new thread can start before the last one has
-        # given back its malloc arena.
-        _lane = ThreadPoolExecutor(1, thread_name_prefix="saddle-ssn-lane")
-    future = _lane.submit(fn, *args)
-    _last = weakref.ref(future)
-    return future
+            # One thread serves the process: a thread per hand-off
+            # measured the same time, but one benchmark run in six
+            # peaked 7 MB higher, as a new thread can start before the
+            # last one has given back its malloc arena.
+            _lane = ThreadPoolExecutor(1, thread_name_prefix="saddle-ssn-lane")
+        future = _lane.submit(fn, *args)
+        _last = weakref.ref(future)
+        return future
 
 
 def solve_ahead(jac: ResidualJacobian, mu: float,

@@ -38,8 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import (MatrixGame, StrategyProfile, project_pair, project_product,
-                   saddle_operator)
+from .game import MatrixGame, StrategyProfile, project_pair, saddle_operator
 
 # gamma * sigma_max under the default splitting parameter.  Step counts
 # were flat (within about 10%) for products from 2 to 5 on normal and
@@ -158,7 +157,8 @@ def lift(ctx: DrsContext, profile: StrategyProfile) -> np.ndarray:
 
 def restrict(ctx: DrsContext, z) -> StrategyProfile:
     """Map a lifted point back to a feasible profile by projection."""
-    return project_product(ctx.game, z)
+    p = project_pair(ctx.game.n, _checked(ctx, z))
+    return StrategyProfile.from_vectors(p[:ctx.game.n], p[ctx.game.n:])
 
 
 def _checked(ctx: DrsContext, z) -> np.ndarray:

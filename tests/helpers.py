@@ -92,7 +92,7 @@ def sequential_crossover(game: MatrixGame, support: np.ndarray, pairs,
     lists the coordinates to toggle in the supports, -1 for none.
     Returns the candidate's index and profile, or (None, None)."""
     from saddle_ssn.game import duality_gap
-    from saddle_ssn.ssn import _equalizer
+    from saddle_ssn.crossover import _equalizer
 
     n = game.n
     for index, pair in enumerate(pairs):

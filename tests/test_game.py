@@ -15,7 +15,6 @@ from saddle_ssn.game import (
     duality_gap,
     estimate_spectral_norm,
     project_pair,
-    project_product,
     project_simplex,
     saddle_operator,
 )
@@ -333,33 +332,6 @@ class TestProjectionInput:
     @example(np.array([0.1, 0.7, 0.3]))
     def test_single_blocks_are_left_as_they_were(self, p):
         self.check(project_simplex, p)
-
-
-class TestProductProjection:
-    def test_splits_blocks_independently(self):
-        game = MatrixGame.from_payoff(PENNIES)
-        prof = project_product(game, np.array([2.0, 0.0, 0.0, 2.0]))
-        assert np.array_equal(prof.x, np.array([1.0, 0.0]))
-        assert np.array_equal(prof.y, np.array([0.0, 1.0]))
-
-    def test_matches_pairwise_helper(self):
-        rng = philox(34)
-        game = random_game(rng, 4, 5)
-        z = rng.standard_normal(9)
-        prof = project_product(game, z)
-        stacked = project_pair(4, z)
-        assert np.array_equal(prof.concatenated(), stacked)
-
-    def test_accepts_lifted_points(self):
-        game = MatrixGame.from_payoff(PENNIES)
-        # Lifted points are plain vectors; any real sequence is accepted.
-        prof = project_product(game, [0.5, 0.5, 2.0, 0.0])
-        assert np.array_equal(prof.y, np.array([1.0, 0.0]))
-
-    def test_rejects_wrong_length(self):
-        game = MatrixGame.from_payoff(PENNIES)
-        with pytest.raises(ValueError):
-            project_product(game, np.zeros(5))
 
 
 class TestSaddleOperator:

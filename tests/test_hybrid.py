@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import lp_value, philox, random_game
-from saddle_ssn import hybrid, ssn
+from saddle_ssn import crossover, hybrid, ssn
 from saddle_ssn.game import (MatrixGame, StrategyProfile, duality_gap,
                              estimate_spectral_norm)
 from saddle_ssn.hybrid import (
@@ -334,13 +334,13 @@ class TestCrossoverCorpus:
     def calls(self, monkeypatch):
         """(|S| - |T|, verdict) of every crossover call."""
         out = []
-        crossover = ssn.basin_hop
+        basin_hop = ssn.basin_hop
 
-        def recording(ctx, state, config):
-            support = state.residual.p > ssn._SUPPORT_TOL
+        def recording(ctx, state, target_gap):
+            support = state.residual.p > crossover._SUPPORT_TOL
             excess = int(support[:ctx.game.n].sum()
                          - support[ctx.game.n:].sum())
-            verdict = crossover(ctx, state, config)
+            verdict = basin_hop(ctx, state, target_gap)
             out.append((excess, verdict))
             return verdict
 
@@ -404,11 +404,11 @@ class TestTwoAddCrossover:
         game = random_game(philox(key), *shape)
         config = HybridConfig(variant="pssn-v1")
         calls = []
-        crossover = ssn.basin_hop
+        basin_hop = ssn.basin_hop
 
-        def recording(ctx, state, config):
-            support = state.residual.p > ssn._SUPPORT_TOL
-            verdict = crossover(ctx, state, config)
+        def recording(ctx, state, target_gap):
+            support = state.residual.p > crossover._SUPPORT_TOL
+            verdict = basin_hop(ctx, state, target_gap)
             calls.append((int(support[:ctx.game.n].sum()
                               - support[ctx.game.n:].sum()), verdict))
             return verdict
@@ -418,14 +418,14 @@ class TestTwoAddCrossover:
         assert calls[-1] == (excess, True)
         # The same run without the blocks that add two coordinates:
         # candidate rows that toggle two unsupported coordinates.
-        candidates = ssn._candidates
+        candidates = crossover._candidates
 
         def one_add(support, order, n):
             pairs = candidates(support, order, n)
             adds = (pairs >= 0) & ~support[pairs]
             return pairs[~adds.all(axis=1)]
 
-        monkeypatch.setattr(ssn, "_candidates", one_add)
+        monkeypatch.setattr(crossover, "_candidates", one_add)
         longer = run_hybrid(game, config)
         rows, before = self.signature(outcome), self.signature(longer)
         assert len(before) > len(rows)

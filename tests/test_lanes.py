@@ -159,8 +159,8 @@ def search_outcome(monkeypatch, lanes, lam0, config, tried):
     ctx, state = ladder_state(lam0)
     tried.clear()
     line_search_accept(ctx, state, config)
-    return (state.stalled, state.last_trials, state.lam,
-            state.newton_steps_taken, state.z.tobytes(), list(tried))
+    return (state.stalled, state.last_trials, state.lam, state.z.tobytes(),
+            list(tried))
 
 
 def searches_with_a_failing_solve(monkeypatch, solves, failing_trial):
@@ -202,11 +202,11 @@ class TestLadders:
         config = SsnConfig()
         one = search_outcome(monkeypatch, 1, 0.01, config, solves)
         two = search_outcome(monkeypatch, 2, 0.01, config, solves)
-        assert one[:5] == two[:5] == (True, budget, 0.01, 0, one[4])
+        assert one[:4] == two[:4] == (True, budget, 0.01, one[3])
         # The second lane solves exactly the trials the first would.
-        assert sorted(mu for mu, _ in two[5]) == sorted(
-            mu for mu, _ in one[5])
-        assert on_other_threads(two[5]) == budget // 2
+        assert sorted(mu for mu, _ in two[4]) == sorted(
+            mu for mu, _ in one[4])
+        assert on_other_threads(two[4]) == budget // 2
 
     @pytest.mark.parametrize("rungs", [1, 2, 3, 4])
     def test_a_ladder_that_ends_at_the_damping_cap(
@@ -216,10 +216,10 @@ class TestLadders:
         config = SsnConfig()
         one = search_outcome(monkeypatch, 1, lam0, config, solves)
         two = search_outcome(monkeypatch, 2, lam0, config, solves)
-        assert one[:5] == two[:5]
+        assert one[:4] == two[:4]
         assert one[:2] == (True, rungs)
-        assert len(two[5]) == rungs
-        assert on_other_threads(two[5]) == rungs // 2
+        assert len(two[4]) == rungs
+        assert on_other_threads(two[4]) == rungs // 2
 
     @pytest.mark.parametrize("failing_trial", [2, 3])
     def test_a_failed_solve_is_a_rejection_on_either_lane(

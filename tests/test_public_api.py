@@ -47,7 +47,8 @@ def test_settable_knobs_are_pinned():
     def params(fn):
         return list(inspect.signature(fn).parameters)
 
-    assert names(saddle_ssn.SsnConfig) == ["max_newton_iters", "target_gap"]
+    assert names(saddle_ssn.SsnConfig) == ["target_gap"]
+    assert saddle_ssn.SsnConfig().max_newton_iters == 200
     assert names(saddle_ssn.HybridConfig) == [
         "switch_gap_threshold", "variant", "gamma", "target_gap",
         "max_fo_iters", "gap_check_period"]

@@ -8,6 +8,7 @@ from saddle_ssn.game import (
     MatrixGame,
     StrategyProfile,
     duality_gap,
+    project_pair,
     project_simplex,
     saddle_operator,
 )
@@ -31,6 +32,30 @@ def make_ctx(payoff, gamma=1.0):
 def drs_step(ctx, z):
     """The splitting step T(z) = z - R(z)."""
     return z - residual(ctx, z).r
+
+
+class TestRestrict:
+    def test_splits_blocks_independently(self):
+        prof = restrict(make_ctx(PENNIES), np.array([2.0, 0.0, 0.0, 2.0]))
+        assert np.array_equal(prof.x, np.array([1.0, 0.0]))
+        assert np.array_equal(prof.y, np.array([0.0, 1.0]))
+
+    def test_matches_pairwise_helper(self):
+        rng = philox(34)
+        ctx = build_context(random_game(rng, 4, 5), 1.0)
+        z = rng.standard_normal(9)
+        prof = restrict(ctx, z)
+        stacked = project_pair(4, z)
+        assert np.array_equal(prof.concatenated(), stacked)
+
+    def test_accepts_lifted_points(self):
+        # Lifted points are plain vectors; any real sequence is accepted.
+        prof = restrict(make_ctx(PENNIES), [0.5, 0.5, 2.0, 0.0])
+        assert np.array_equal(prof.y, np.array([1.0, 0.0]))
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            restrict(make_ctx(PENNIES), np.zeros(5))
 
 
 class TestBuildContext:

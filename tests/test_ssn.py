@@ -1,6 +1,9 @@
 """Tests for the damped Newton iteration on the splitting residual."""
 
+import importlib
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -8,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import philox, random_game, sequential_crossover
+import saddle_ssn.crossover as crossover
 import saddle_ssn.game as game_module
 import saddle_ssn.ssn as ssn_module
 from saddle_ssn.game import MatrixGame, StrategyProfile, duality_gap
-from saddle_ssn.hybrid import adaptive_lambda_update
+from saddle_ssn.hybrid import HybridConfig, adaptive_lambda_update, run_hybrid
 from saddle_ssn.splitting import build_context, lift, residual, restrict
 from saddle_ssn.ssn import (
     FLAG_BUDGET,
@@ -52,7 +56,7 @@ def rejection_prone_state(key=1):
 
 class TestSsnConfig:
     def test_defaults_are_valid(self):
-        SsnConfig()
+        assert SsnConfig().max_newton_iters == 200
 
     @pytest.mark.parametrize("kwargs", [
         {"max_newton_iters": 0},
@@ -64,7 +68,10 @@ class TestSsnConfig:
         {"target_gap": -math.inf},
     ])
     def test_rejects_inconsistent_constants(self, kwargs):
-        with pytest.raises(ValueError):
+        # The step budget is a class constant, not a field: drive_newton
+        # takes a smaller one as max_steps.
+        error = TypeError if "max_newton_iters" in kwargs else ValueError
+        with pytest.raises(error):
             SsnConfig(**kwargs)
 
 
@@ -74,7 +81,6 @@ class TestMakeState:
         z0 = near_uniform_start(ctx)
         state = make_state(ctx, z0, 2.5)
         assert state.lam == 2.5
-        assert state.newton_steps_taken == 0
         assert state.residual.norm == residual(ctx, state.z).norm
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
@@ -116,7 +122,6 @@ class TestLineSearch:
         assert out is state
         assert not state.stalled and not state.converged
         assert state.last_trials == 1
-        assert state.newton_steps_taken == 1
         assert state.residual.norm < r0
         assert state.lam == max(1e-15, 1.0 / 1.5**2)
         assert np.array_equal(z0 + first_trial, state.z)
@@ -127,7 +132,6 @@ class TestLineSearch:
         line_search_accept(ctx, state, config)
         assert not state.stalled
         assert state.last_trials == 2
-        assert state.newton_steps_taken == 1
         assert state.residual.norm < r0
         assert state.lam == max(1e-15, 0.01 * 1.5)
 
@@ -157,7 +161,6 @@ class TestLineSearch:
         line_search_accept(ctx, state, config)
         assert state.stalled
         assert state.last_trials == 1
-        assert state.newton_steps_taken == 0
         assert np.array_equal(state.z, z0)
         assert state.residual.norm == r0
 
@@ -167,20 +170,21 @@ class TestLineSearch:
         line_search_accept(ctx, state, SsnConfig())
         assert state.stalled
         assert state.last_trials == 0
-        assert state.newton_steps_taken == 0
 
     def test_flags_convergence_at_zero_residual(self):
         ctx = build_context(MatrixGame.from_payoff(np.zeros((2, 2))), 1.0)
         state = make_state(ctx, StrategyProfile.uniform(2, 2).concatenated(), 1.0)
         line_search_accept(ctx, state, SsnConfig())
         assert state.converged
-        assert state.newton_steps_taken == 0
+        assert state.last_trials == 0
 
     def test_damping_never_drops_below_the_floor(self):
         ctx = pennies_ctx()
         state = make_state(ctx, near_uniform_start(ctx), 1e-15)
+        z0 = state.z.copy()
         line_search_accept(ctx, state, SsnConfig())
-        assert state.newton_steps_taken == 1
+        assert state.last_trials == 1
+        assert not np.array_equal(state.z, z0)
         assert state.lam == 1e-15
 
 
@@ -294,17 +298,18 @@ def state_on_supports(payoff, rows, cols):
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """Record the shape of every candidate block a crossover call screens."""
+    """Record the shape of every candidate block a crossover call lists."""
     shapes = []
-    first_certified = ssn_module._first_certified
+    candidates = crossover._candidates
 
-    def recording(game, support, pairs, target):
+    def recording(support, order, n):
+        pairs = candidates(support, order, n)
         for pair in pairs:
-            rows, cols = ssn_module._block(support, pair, game.n)
+            rows, cols = crossover._block(support, pair, n)
             shapes.append((len(rows), len(cols)))
-        return first_certified(game, support, pairs, target)
+        return pairs
 
-    monkeypatch.setattr(ssn_module, "_first_certified", recording)
+    monkeypatch.setattr(crossover, "_candidates", recording)
     return shapes
 
 
@@ -312,22 +317,39 @@ def blocks(monkeypatch):
 def solved(monkeypatch):
     """Record the shape of every block the crossover solves directly."""
     shapes = []
-    equalizer = ssn_module._equalizer
+    equalizer = crossover._equalizer
 
     def recording(a):
         shapes.append(a.shape)
         return equalizer(a)
 
-    monkeypatch.setattr(ssn_module, "_equalizer", recording)
+    monkeypatch.setattr(crossover, "_equalizer", recording)
     return shapes
+
+
+def first_certified(game, support, order, target):
+    """The first crossover proposal whose exact gap meets the target, at
+    a point whose supports are ``support`` and whose coordinates rank in
+    ``order``; None when no proposal certifies.
+
+    The point gives every coordinate its rank plus one as margin: as its
+    entry of P(z) on the support, as its distance below the threshold
+    (zero here) off it.
+    """
+    key = np.empty(len(order))
+    key[order] = np.arange(1.0, len(order) + 1.0)
+    p = np.where(support, key, 0.0)
+    z = np.where(support, key, -key)
+    return next((profile for profile in
+                 crossover.proposals(game, z, p, target)
+                 if duality_gap(game, profile).gap <= target), None)
 
 
 class TestBasinHop:
     def test_crossover_certifies_a_stalled_state(self):
         ctx, state = stalled_state()
         assert np.count_nonzero(state.residual.p[3:]) == 4
-        steps = state.newton_steps_taken
-        assert basin_hop(ctx, state, SsnConfig()) is True
+        assert basin_hop(ctx, state, 1e-12) is True
         profile = state.profile(ctx)
         assert duality_gap(ctx.game, profile).gap <= 1e-12
         assert profile.y[0] == 0.0
@@ -335,7 +357,6 @@ class TestBasinHop:
         assert np.array_equal(state.residual.p, profile.concatenated())
         assert np.array_equal(state.z, lift(ctx, profile))
         assert state.residual.norm <= 1e-14
-        assert state.newton_steps_taken == steps + 1
 
     def test_drive_newton_traces_the_certificate(self):
         ctx, state = stalled_state()
@@ -353,15 +374,15 @@ class TestBasinHop:
         events = []
         certify = [True]
 
-        def crossover(ctx, state, config):
+        def recording(ctx, state, target_gap):
             events.append("crossover")
-            return certify[0] and basin_hop(ctx, state, config)
+            return certify[0] and basin_hop(ctx, state, target_gap)
 
         def search(ctx, state, config):
             events.append("search")
             return line_search_accept(ctx, state, config)
 
-        monkeypatch.setattr(ssn_module, "basin_hop", crossover)
+        monkeypatch.setattr(ssn_module, "basin_hop", recording)
         monkeypatch.setattr(ssn_module, "line_search_accept", search)
         return events, certify
 
@@ -399,10 +420,10 @@ class TestBasinHop:
     def test_leaves_the_state_untouched_without_a_certificate(self, target):
         ctx, state, _ = rejection_prone_state()
         z, lam, res = state.z.copy(), state.lam, state.residual
-        assert basin_hop(ctx, state, SsnConfig(target_gap=target)) is False
+        assert basin_hop(ctx, state, target) is False
         assert np.array_equal(state.z, z)
         assert state.residual is res
-        assert (state.lam, state.newton_steps_taken) == (lam, 0)
+        assert state.lam == lam
 
     @pytest.mark.parametrize("rows, cols, adds", [([0, 1, 2, 3], [0, 1], 4),
                                                   ([0, 1], [0, 1, 2, 3], 3)])
@@ -414,12 +435,12 @@ class TestBasinHop:
         # Every pair of the smaller side's unsupported strategies is a
         # candidate, each giving a 4x4 block.  At a zero target none
         # passes the screen, so none is solved directly.
-        assert basin_hop(ctx, state, SsnConfig(target_gap=0.0)) is False
+        assert basin_hop(ctx, state, 0.0) is False
         assert blocks == [(4, 4)] * (adds * (adds - 1) // 2)
         assert solved == []
         assert np.array_equal(state.z, z)
         assert state.residual is res
-        assert (state.lam, state.newton_steps_taken) == (lam, 0)
+        assert state.lam == lam
 
     @pytest.mark.parametrize("rows, cols", [([0, 1, 2, 3, 4], [0, 1]),
                                             ([0], [0, 1, 2, 4])])
@@ -427,11 +448,11 @@ class TestBasinHop:
         payoff = random_game(philox(2), 5, 6).payoff
         ctx, state = state_on_supports(payoff, rows, cols)
         z, lam, res = state.z.copy(), state.lam, state.residual
-        assert basin_hop(ctx, state, SsnConfig()) is False
+        assert basin_hop(ctx, state, 1e-12) is False
         assert blocks == []
         assert np.array_equal(state.z, z)
         assert state.residual is res
-        assert (state.lam, state.newton_steps_taken) == (lam, 0)
+        assert state.lam == lam
 
     @pytest.mark.parametrize("rows, cols, flips", [
         ([0, 1, 2], [0, 1, 2, 3], 4 + 2), ([0, 1, 2, 3], [0, 1, 2], 4 + 3)])
@@ -443,7 +464,7 @@ class TestBasinHop:
         # Every flip is a candidate: each drop from the larger side gives
         # a 3x3 block, each add to the smaller side a 4x4 one.  At a zero
         # target none passes the screen, so none is solved directly.
-        assert basin_hop(ctx, state, SsnConfig(target_gap=0.0)) is False
+        assert basin_hop(ctx, state, 0.0) is False
         assert all(k == l for k, l in blocks)
         assert {k for k, _ in blocks} == {3, 4}
         assert len(blocks) == flips
@@ -452,13 +473,37 @@ class TestBasinHop:
     def test_exact_duplicate_certifies_through_a_square_block(self, solved):
         payoff = np.column_stack([RPS, RPS[:, 0]])
         ctx, state = state_on_supports(payoff, [0, 1, 2], [0, 1, 2, 3])
-        assert basin_hop(ctx, state, SsnConfig()) is True
+        assert basin_hop(ctx, state, 1e-12) is True
         assert solved == [(3, 3), (3, 3)]
         profile = state.profile(ctx)
         assert duality_gap(ctx.game, profile).gap <= 1e-12
         assert np.count_nonzero(profile.y) == 3
         assert profile.y[0] == 0.0 or profile.y[3] == 0.0
         assert np.allclose(profile.x, 1 / 3, atol=1e-15)
+
+
+class TestTracedCrossover:
+    def test_the_crossover_stays_visible_to_tracing(self):
+        # The benchmark's tracer swaps the bindings of the functions it
+        # traces in the modules it lists, and the crossover module is
+        # not one of them.  So the crossover binds none of them, and the
+        # gap certificates that decide a crossover call show up under
+        # ssn.basin_hop.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        sys.path.insert(0, root)
+        try:
+            tracing = importlib.import_module("perfbench.tracing")
+        finally:
+            sys.path.remove(root)
+        traced = {span.split(".")[1] for span in tracing.TRACED}
+        assert not traced & set(vars(crossover))
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            out = run_hybrid(random_game(philox(4), 24, 30),
+                             HybridConfig(variant="pssn-v1"))
+        assert out.status == "converged"
+        assert tracer.rescued >= 1
+        assert ("game.duality_gap", "ssn.basin_hop") in tracer.edges
 
 
 class TestScreen:
@@ -483,13 +528,14 @@ class TestScreen:
         support = np.zeros(n + m, dtype=bool)
         support[rng.choice(n, kx, replace=False)] = True
         support[n + rng.choice(m, ky, replace=False)] = True
-        pairs = ssn_module._candidates(support, rng.permutation(n + m), n)
+        order = rng.permutation(n + m)
+        pairs = crossover._candidates(support, order, n)
         gaps = [duality_gap(game, profile).gap for profile in
                 (sequential_crossover(game, support, [pair], math.inf)[1]
                  for pair in pairs) if profile is not None]
         target = data.draw(st.sampled_from(gaps + [0.0, 1e-12, 0.1]))
         _, want = sequential_crossover(game, support, pairs, target)
-        got = ssn_module._first_certified(game, support, pairs, target)
+        got = first_certified(game, support, order, target)
         assert (got is None) == (want is None)
         if got is not None:
             assert got.x.tobytes() == want.x.tobytes()
@@ -501,9 +547,9 @@ class TestScreen:
         payoff = np.column_stack([RPS, RPS[:, 0]])
         support = np.ones(7, dtype=bool)
         support[5] = False
-        pairs = ssn_module._candidates(support, np.arange(7), 3)
-        passed = ssn_module._screen(MatrixGame.from_payoff(payoff), support,
-                                    pairs, 1e-12)
+        pairs = crossover._candidates(support, np.arange(7), 3)
+        passed = crossover._screen(MatrixGame.from_payoff(payoff), support,
+                                   pairs, 1e-12)
         assert passed.all()
 
     def test_an_ill_conditioned_base_passes_every_two_add_block(self):
@@ -514,10 +560,10 @@ class TestScreen:
         support = np.zeros(7, dtype=bool)
         support[[0, 1, 2, 4]] = True
         game = MatrixGame.from_payoff(payoff)
-        pairs = ssn_module._candidates(support,
-                                       np.array([0, 1, 2, 3, 6, 4, 5]), 3)
+        pairs = crossover._candidates(support,
+                                      np.array([0, 1, 2, 3, 6, 4, 5]), 3)
         assert pairs.tolist() == [[3, 6], [3, 5], [6, 5]]
-        assert ssn_module._screen(game, support, pairs, 1e-12).all()
+        assert crossover._screen(game, support, pairs, 1e-12).all()
 
     def test_a_near_singular_candidate_passes_the_screen(self):
         # Rows {0, 3, 5} and all five columns leave |e| = 2.  Candidate 6
@@ -532,12 +578,12 @@ class TestScreen:
         support = np.zeros(13, dtype=bool)
         support[[0, 3, 5]] = support[8:] = True
         order = np.array([6, 8, 7, 12, 11, 1, 4, 0, 5, 3, 10, 9, 2])
-        pairs = ssn_module._candidates(support, order, 8)
+        pairs = crossover._candidates(support, order, 8)
         assert pairs[6].tolist() == [6, 2]
         _, profile = sequential_crossover(game, support, pairs[6:7], math.inf)
         target = duality_gap(game, profile).gap
         index, want = sequential_crossover(game, support, pairs, target)
-        got = ssn_module._first_certified(game, support, pairs, target)
+        got = first_certified(game, support, order, target)
         assert index == 6 and got is not None
         assert got.x.tobytes() == want.x.tobytes()
         assert got.y.tobytes() == want.y.tobytes()
@@ -550,17 +596,18 @@ class TestScreen:
         support = np.zeros(73, dtype=bool)
         support[:5] = True
         order = np.concatenate([np.arange(5, 73), np.arange(5)])
-        pairs = ssn_module._candidates(support, order, 3)
+        pairs = crossover._candidates(support, order, 3)
         assert len(pairs) == 64 and (pairs[:, 1] == -1).all()
-        assert not ssn_module._screen(game, support, pairs, 0.0).all()
+        assert not crossover._screen(game, support, pairs, 0.0).all()
 
 
-def solve(ctx, z0, config, rows=None, start_iteration=0):
-    """The Newton phase on its own: make_state, then drive_newton."""
+def solve(ctx, z0, config, rows=None, start_iteration=0, max_steps=None):
+    """The Newton phase on its own: make_state, then drive_newton.
+    Returns the state, the number of steps, the certificate and flag."""
     state = make_state(ctx, z0, 1.0)
-    _, cert, flag = drive_newton(ctx, state, config, rows=rows,
-                                 start_iteration=start_iteration)
-    return state, cert, flag
+    steps, cert, flag = drive_newton(ctx, state, config, max_steps, rows,
+                                     start_iteration=start_iteration)
+    return state, steps, cert, flag
 
 
 class TestSolver:
@@ -568,19 +615,20 @@ class TestSolver:
         ctx = build_context(MatrixGame.from_payoff(np.zeros((3, 4))), 1.0)
         z0 = StrategyProfile.uniform(3, 4).concatenated()
         rows = []
-        state, cert, flag = solve(ctx, z0, SsnConfig(), rows)
+        _, steps, cert, flag = solve(ctx, z0, SsnConfig(), rows)
         assert flag == FLAG_TARGET
         assert cert.gap == 0.0
-        assert state.newton_steps_taken == 0
+        assert steps == 0
         assert len(rows) == 1
         assert rows[0].phase == PHASE_SSN
 
     def test_reaches_target_gap_on_small_game(self):
         ctx = pennies_ctx()
-        state, cert, flag = solve(ctx, near_uniform_start(ctx), SsnConfig())
+        state, steps, cert, flag = solve(ctx, near_uniform_start(ctx),
+                                         SsnConfig())
         assert flag == FLAG_TARGET
         assert cert.gap <= 1e-12
-        assert state.newton_steps_taken <= 10
+        assert steps <= 10
         recomputed = duality_gap(ctx.game, restrict(ctx, state.z))
         assert recomputed.gap == cert.gap
 
@@ -602,10 +650,28 @@ class TestSolver:
         # Pennies certifies by the crossover at its entry point; this game
         # needs a few steps before the crossover can finish it.
         ctx = build_context(random_game(philox(74), 20, 20), 1.0)
-        state, _, flag = solve(ctx, lift(ctx, StrategyProfile.uniform(20, 20)),
-                               SsnConfig(max_newton_iters=1))
+        _, steps, _, flag = solve(
+            ctx, lift(ctx, StrategyProfile.uniform(20, 20)), SsnConfig(),
+            max_steps=1)
         assert flag == FLAG_BUDGET
-        assert state.newton_steps_taken == 1
+        assert steps == 1
+
+    def test_a_zero_residual_above_the_target_ends_the_run_stalled(self):
+        # At a zero target the roundoff gap of an equilibrium is above
+        # it.  Once the residual is numerically zero the search cannot
+        # move the point, so the run ends stalled, with the certificate
+        # its last row traced.
+        ctx = build_context(random_game(philox(1), 3, 3), 1.0)
+        state = make_state(ctx, lift(ctx, StrategyProfile.uniform(3, 3)),
+                           1.0)
+        rows = []
+        steps, cert, flag = drive_newton(ctx, state, SsnConfig(target_gap=0.0),
+                                         rows=rows)
+        assert flag == FLAG_STALLED and state.converged
+        assert state.residual.norm <= ssn_module.RESIDUAL_ZERO_TOL
+        assert 0.0 < cert.gap == rows[-1].gap
+        assert cert == duality_gap(ctx.game, state.profile(ctx))
+        assert len(rows) == steps + 1
 
     def test_default_gamma_makes_runs_scale_invariant(self):
         # Powers of two scale the payoff exactly, so the default gamma,
@@ -646,9 +712,9 @@ class TestSolver:
         ctx = build_context(game, 1.0)
         z0 = rng.standard_normal(21)
         traces = [[], []]
-        outs = [solve(ctx, z0, SsnConfig(max_newton_iters=40), trace)
+        outs = [solve(ctx, z0, SsnConfig(), trace, max_steps=40)
                 for trace in traces]
-        assert outs[0][2] == outs[1][2]
+        assert outs[0][1:] == outs[1][1:]
         assert np.array_equal(outs[0][0].z, outs[1][0].z)
         a, b = traces
         assert [(r.iteration, r.gap, r.residual_norm, r.damping) for r in a] \
