@@ -117,38 +117,51 @@ def save_matrix(game: MatrixGame, path: str) -> None:
         f"(expected .csv or .mtx)")
 
 
+def _ascii_lines(path: str):
+    """Yield ``(lineno, line)`` of an ASCII text file, 1-based.
+
+    A byte above 0x7f raises MatrixFileError naming its line; the file
+    is decoded with surrogateescape, so the read itself never fails.
+    """
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                byte = next(ord(c) for c in line if not c.isascii()) - 0xDC00
+                raise MatrixFileError(
+                    f"{path}:{lineno}: byte 0x{byte:02x} is not ASCII")
+            yield lineno, line
+
+
 def _read_csv(path: str) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            tokens = stripped.split(",")
-            if width is None:
-                width = len(tokens)
-            elif len(tokens) != width:
+    for lineno, line in _ascii_lines(path):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        tokens = stripped.split(",")
+        if width is None:
+            width = len(tokens)
+        elif len(tokens) != width:
+            raise MatrixFileError(
+                f"{path}:{lineno}: row has {len(tokens)} entries, "
+                f"expected {width}")
+        values = []
+        for colno, tok in enumerate(tokens, start=1):
+            try:
+                values.append(float(tok))
+            except ValueError:
                 raise MatrixFileError(
-                    f"{path}:{lineno}: row has {len(tokens)} entries, "
-                    f"expected {width}")
-            values = []
-            for colno, tok in enumerate(tokens, start=1):
-                try:
-                    values.append(float(tok))
-                except ValueError:
-                    raise MatrixFileError(
-                        f"{path}:{lineno}: column {colno}: "
-                        f"not a number: {tok.strip()!r}") from None
-            rows.append(values)
+                    f"{path}:{lineno}: column {colno}: "
+                    f"not a number: {tok.strip()!r}") from None
+        rows.append(values)
     if not rows:
         raise MatrixFileError(f"{path}: no matrix rows found")
     return np.array(rows)
 
 
 def _read_mtx(path: str) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
+    lines = [line for _, line in _ascii_lines(path)]
     if not lines:
         raise MatrixFileError(f"{path}: empty file")
     header = lines[0].split()

@@ -25,19 +25,17 @@ the active rows of the SVD factors, O(min(n, m) (kx + ky)^2), two of
 them symmetric rank-k products, and one LU factorization per trial
 through numpy's LAPACK; nothing of size n + m is factored.
 
-A second lane, one worker thread, takes three jobs, each only when no
-job waits or runs there (``run_if_idle``); a caller that finds it busy
-runs the job itself.  A line search may hand it its next trial's solve
-(``run_on_lane``): ``solve_ahead`` returns the lane's future, the
-search passes it to that trial's ``newton_solve``, which returns its
-result, and the search waits on any future it did not take before it
-returns.  Both lanes run the same pure solve on the same inputs, so the
-step is the same bits either way.  Every hybrid builds its splitting
-context there while regret matching runs (see hybrid).  And a
-regret-matching round on a large payoff hands it x'A while the calling
-thread computes A y (``lane_products``; see prm).  The lane runs only
-on jobs large enough for numpy to release the GIL, in processes that
-may use two CPUs with BLAS pinned to one thread (``newton_lanes``).
+A second lane, one worker thread, takes two jobs, each only when no
+job waits or runs there (``run_on_lane``); a caller that finds it busy
+runs the job itself.  A line search may hand it its next trial's solve:
+``solve_ahead`` returns the lane's future, the search passes it to that
+trial's ``newton_solve``, which returns its result, and the search
+waits on any future it did not take before it returns.  Both lanes run
+the same pure solve on the same inputs, so the step is the same bits
+either way.  And every hybrid builds its splitting context there while
+regret matching runs (see hybrid).  The lane runs only on jobs large
+enough for numpy to release the GIL, in processes that may use two
+CPUs with BLAS pinned to one thread (``newton_lanes``).
 """
 
 from __future__ import annotations
@@ -251,15 +249,6 @@ def _solve(jac: ResidualJacobian, mu: float,
 # the same gate on n + m.  With more than one BLAS thread, or a single
 # usable CPU, the lanes would only compete for the same cores.
 _LANE_MIN_K = 501
-# A regret-matching round's x'A goes to the lane from n m = _LANE_MIN_NM
-# on.  np.dot drops the GIL for a matrix-vector product where the @
-# operator may keep it, so the round spells both products np.dot, which
-# gives the same bits.  Below the gate the hand-off costs more than it
-# saves: a two-lane round took 1.80x the one-lane time at 200x400,
-# 1.15x at 500x500 and 1.06-1.10x at 450x600, but 0.90-0.93x at
-# 500x560, 0.84-0.95x at 400x800 and 0.64x at 800x1600.  The lanes pay
-# once the payoff outgrows a core's 2 MB L2 cache.
-_LANE_MIN_NM = 280_000
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Set in processes that already run one per core, such as a pool worker.
 _one_lane = False
@@ -316,30 +305,13 @@ def run_on_lane(size: int, fn, *args) -> Future | None:
     ``size`` measures the job: kx + ky for a Newton solve, n + m for a
     context build.  The lane runs it when ``size`` is at least
     ``_LANE_MIN_K``, the process has two lanes (``newton_lanes``) and
-    the lane is idle (``run_if_idle``); then this returns the lane's
-    future, else None.
-    """
-    if size < _LANE_MIN_K or newton_lanes() < 2:
-        return None
-    return run_if_idle(fn, *args)
-
-
-def lane_products(n: int, m: int) -> bool:
-    """Whether regret matching on an n x m payoff hands x'A to the lane.
-
-    It does when n m is at least ``_LANE_MIN_NM`` and the process has
-    two lanes (``newton_lanes``); a run resolves this once.
-    """
-    return n * m >= _LANE_MIN_NM and newton_lanes() == 2
-
-
-def run_if_idle(fn, *args) -> Future | None:
-    """Start ``fn(*args)`` on the second lane if no job waits or runs there.
-
-    Returns the lane's future, else None, so no job ever queues behind
-    another; the caller then runs it itself.
+    no job waits or runs there; then this returns the lane's future,
+    else None, so no job ever queues behind another and the caller
+    runs it itself.
     """
     global _lane, _last
+    if size < _LANE_MIN_K or newton_lanes() < 2:
+        return None
     with _lane_lock:
         # One worker runs the jobs in order, so the lane is idle once
         # its last job is done.

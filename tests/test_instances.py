@@ -131,6 +131,13 @@ class TestCsvFormat:
         with pytest.raises(MatrixFileError, match="no matrix rows"):
             load_matrix(str(path))
 
+    def test_a_byte_order_mark_reports_the_line(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n")
+        with pytest.raises(MatrixFileError,
+                           match=r"bom\.csv:1: byte 0xef is not ASCII"):
+            load_matrix(str(path))
+
     def test_uppercase_extension_is_accepted(self, tmp_path):
         path = tmp_path / "upper.CSV"
         path.write_text("1,2\n3,4\n")
@@ -206,6 +213,16 @@ class TestMtxFormat:
                         "2 2 1\n"
                         "1 1 abc\n")
         with pytest.raises(MatrixFileError, match=r":3: malformed entry"):
+            load_matrix(str(path))
+
+    def test_a_latin1_byte_reports_the_line(self, tmp_path):
+        path = tmp_path / "latin1.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n"
+                         b"2 2 2\n"
+                         b"1 1 1.0\n"
+                         b"2 2 \xb51.0\n")
+        with pytest.raises(MatrixFileError,
+                           match=r"latin1\.mtx:4: byte 0xb5 is not ASCII"):
             load_matrix(str(path))
 
     def test_repeated_entry_reports_both_lines(self, tmp_path):
