@@ -20,10 +20,6 @@ COORD_SLACK = 1e-12
 # Profiles must sum to one within this tolerance before renormalization.
 SUM_TOL = 1e-10
 
-_NORM_EST_ITERS = 200
-_NORM_EST_RTOL = 1e-12
-_NORM_EST_SEED = 0x5EED
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -31,38 +27,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def estimate_spectral_norm(payoff: np.ndarray) -> float:
-    """Estimate the largest singular value of ``payoff`` by power iteration.
+    """The exact largest singular value of ``payoff``, from LAPACK's SVD.
 
-    Iterates on the Gram matrix of the smaller side with a seeded random
-    start vector, stopping after ``_NORM_EST_ITERS`` rounds or once the
-    estimate stabilizes to relative tolerance ``_NORM_EST_RTOL``.
+    A zero payoff gives 0.0.  The name, from an earlier power-iteration
+    estimate, is kept because perfbench's tracer times the call by it.
     """
-    a = np.asarray(payoff, dtype=float)
-    n, m = a.shape
-    rng = np.random.Generator(np.random.Philox(key=_NORM_EST_SEED))
-    if n <= m:
-        gram = lambda v: a @ (a.T @ v)
-        v = rng.standard_normal(n)
-    else:
-        gram = lambda v: a.T @ (a @ v)
-        v = rng.standard_normal(m)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0
-    v /= nv
-    est = 0.0
-    for _ in range(_NORM_EST_ITERS):
-        w = gram(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        new_est = np.sqrt(nw)
-        if est > 0.0 and abs(new_est - est) <= _NORM_EST_RTOL * est:
-            est = new_est
-            break
-        est = new_est
-        v = w / nw
-    return float(est)
+    return float(np.linalg.norm(np.asarray(payoff, dtype=float), 2))
 
 
 @dataclass(frozen=True)

@@ -25,24 +25,22 @@ the active rows of the SVD factors, O(min(n, m) (kx + ky)^2), two of
 them symmetric rank-k products, and one LU factorization per trial
 through numpy's LAPACK; nothing of size n + m is factored.
 
-A second lane, one worker thread, takes two jobs, each only when no
-job waits or runs there (``run_on_lane``); a caller that finds it busy
-runs the job itself.  A line search may hand it its next trial's solve:
-``solve_ahead`` returns the lane's future, the search passes it to that
-trial's ``newton_solve``, which returns its result, and the search
-waits on any future it did not take before it returns.  Both lanes run
-the same pure solve on the same inputs, so the step is the same bits
-either way.  And every hybrid builds its splitting context there while
-regret matching runs (see hybrid).  The lane runs only on jobs large
-enough for numpy to release the GIL, in processes that may use two
-CPUs with BLAS pinned to one thread (``newton_lanes``).
+A second lane, one worker thread, runs two jobs in the order they are
+handed over (``run_on_lane``).  A line search may hand it its next
+trial's solve: ``solve_ahead`` returns the lane's future, the search
+passes it to that trial's ``newton_solve``, which returns its result,
+and the search waits on any future it did not take before it returns.
+Both lanes run the same pure solve on the same inputs, so the step is
+the same bits either way.  And every hybrid builds its splitting
+context there while regret matching runs (see hybrid).  The lane runs
+only on jobs large enough for numpy to release the GIL, in processes
+that may use two CPUs with BLAS at one thread (``newton_lanes``).
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -252,11 +250,8 @@ _LANE_MIN_K = 501
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Set in processes that already run one per core, such as a pool worker.
 _one_lane = False
-# The second lane's executor, made on first use, and a weak reference
-# to the future of its last job: the lane keeps that future alive until
-# the job has run, and the reference keeps no result alive after it.
+# The second lane's executor, made on first use.
 _lane = None
-_last = None
 _lane_lock = threading.Lock()
 
 
@@ -291,8 +286,8 @@ def hold_one_lane() -> None:
 def _forget_lane() -> None:
     # A forked child has no copy of the parent's worker thread, and a
     # lock some other thread held at the fork stays held in the child.
-    global _lane, _last, _lane_lock
-    _lane, _last, _lane_lock = None, None, threading.Lock()
+    global _lane, _lane_lock
+    _lane, _lane_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -304,20 +299,16 @@ def run_on_lane(size: int, fn, *args) -> Future | None:
 
     ``size`` measures the job: kx + ky for a Newton solve, n + m for a
     context build.  The lane runs it when ``size`` is at least
-    ``_LANE_MIN_K``, the process has two lanes (``newton_lanes``) and
-    no job waits or runs there; then this returns the lane's future,
-    else None, so no job ever queues behind another and the caller
-    runs it itself.
+    ``_LANE_MIN_K`` and the process has two lanes (``newton_lanes``);
+    then this returns the lane's future, else None and the caller runs
+    it itself.  A caller joins its job before it hands over another, so
+    the lane is idle unless several threads share it; their jobs then
+    queue on the one worker, and none waits on another.
     """
-    global _lane, _last
+    global _lane
     if size < _LANE_MIN_K or newton_lanes() < 2:
         return None
     with _lane_lock:
-        # One worker runs the jobs in order, so the lane is idle once
-        # its last job is done.
-        last = None if _last is None else _last()
-        if last is not None and not last.done():
-            return None
         if _lane is None:
             # Imported here: it adds about 4 ms to every CLI start.
             from concurrent.futures import ThreadPoolExecutor
@@ -327,9 +318,7 @@ def run_on_lane(size: int, fn, *args) -> Future | None:
             # peaked 7 MB higher, as a new thread can start before the
             # last one has given back its malloc arena.
             _lane = ThreadPoolExecutor(1, thread_name_prefix="saddle-ssn-lane")
-        future = _lane.submit(fn, *args)
-        _last = weakref.ref(future)
-        return future
+        return _lane.submit(fn, *args)
 
 
 def solve_ahead(jac: ResidualJacobian, mu: float,

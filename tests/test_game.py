@@ -45,15 +45,15 @@ class TestMatrixGame:
             MatrixGame.from_payoff(bad)
 
     def test_estimate_spectral_norm_close_to_exact_norm(self):
+        # Bit for bit LAPACK's value, also on the tall uniform game where
+        # a 200-round power iteration fell 3e-6 short.
         rng = philox(12)
-        worst = 0.0
-        for _ in range(40):
-            a = rng.standard_normal((int(rng.integers(1, 40)), int(rng.integers(1, 40))))
-            exact = np.linalg.norm(a, 2)
-            est = estimate_spectral_norm(a)
-            if exact > 0:
-                worst = max(worst, abs(est - exact) / exact)
-        assert worst <= 1e-4
+        payoffs = [rng.standard_normal((int(rng.integers(1, 40)),
+                                        int(rng.integers(1, 40))))
+                   for _ in range(40)]
+        payoffs.append(random_game(philox(1), 300, 20).payoff)
+        for a in payoffs:
+            assert estimate_spectral_norm(a) == np.linalg.norm(a, 2)
 
     def test_spectral_norm_dominates_row_and_column_norms(self):
         rng = philox(13)

@@ -326,9 +326,10 @@ class TestContextOnTheLane:
 
 
 class TestDotIsMatmul:
-    # The rounds and the spectral maps spell their products np.dot, which
-    # drops the GIL, and EG and OGDA write F(z)'s two into halves of one
-    # buffer; they must keep the bits of @ on either memory order.
+    # The spectral maps spell their products np.dot, which drops the GIL
+    # on the lane, and the rounds, EG and OGDA spell theirs np.dot too,
+    # the last two into halves of one buffer; all must keep the bits of
+    # @ on either memory order.
     @pytest.mark.parametrize("shape", [(24, 30), (100, 100), (400, 800)])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_the_products_on_the_lanes_keep_their_bits(self, shape, order):
@@ -558,15 +559,15 @@ class TestForkAndPool:
         assert metas["2"]["numeric_env"]["newton_lanes"] == 1
 
 
-def run_suite_with_threads(tmp_path, threads):
+def run_suite_with_threads(tmp_path, threads, methods, *options):
     out = tmp_path / f"blas{threads}"
     env = dict(os.environ, PYTHONPATH=SRC,
                **{var: threads for var in THREAD_VARS})
     subprocess.run(
         [sys.executable, "-m", "saddle_ssn.cli", "--kind", "uniform",
          "--n", "100", "--m", "100", "--seeds", "0..2",
-         "--methods", "pssn-v1,pssn-v2,hpssn", "--workers", "1",
-         "--out-dir", str(out)],
+         "--methods", methods, "--workers", "1",
+         "--out-dir", str(out), *options],
         env=env, capture_output=True, text=True, check=True, timeout=240)
     with open(out / "runs.csv", encoding="ascii") as fh:
         rows = [line.split(",") for line in fh.read().splitlines()[1:]]
@@ -579,8 +580,9 @@ class TestBlasThreadCount:
     def test_one_and_two_blas_threads_take_the_same_steps(self, tmp_path):
         # The last bits of a run may depend on the BLAS thread count; its
         # statuses, Newton steps and checkpoints may not.
-        one, meta_one = run_suite_with_threads(tmp_path, "1")
-        two, meta_two = run_suite_with_threads(tmp_path, "2")
+        methods = "pssn-v1,pssn-v2,hpssn"
+        one, meta_one = run_suite_with_threads(tmp_path, "1", methods)
+        two, meta_two = run_suite_with_threads(tmp_path, "2", methods)
         assert meta_one["statuses"] == meta_two["statuses"]
         assert set(meta_one["statuses"].values()) == {"converged"}
         columns = (lambda rows: [row[:5] for row in rows])
@@ -588,3 +590,13 @@ class TestBlasThreadCount:
         steps = (lambda rows: sum(row[4] == "SSN" for row in rows))
         assert steps(one) == steps(two) > 0
         assert meta_two["numeric_env"]["newton_lanes"] == 1
+
+    def test_first_order_rows_keep_their_bits_at_two_blas_threads(
+            self, tmp_path):
+        # Regret matching and the baselines, whose step reads LAPACK's
+        # sigma_max, keep every runs.csv column but the elapsed time.
+        methods, target = "prm-qa,eg,ogda", ("--target", "1e-4")
+        one, _ = run_suite_with_threads(tmp_path, "1", methods, *target)
+        two, _ = run_suite_with_threads(tmp_path, "2", methods, *target)
+        columns = (lambda rows: [row[:8] for row in rows])
+        assert len(one) > 0 and columns(one) == columns(two)
