@@ -40,16 +40,13 @@ import numpy as np
 from .baselines import FomConfig, extragradient_run, ogda_run
 from .game import MatrixGame
 from .hybrid import HybridConfig, run_hybrid
-from .instances import SEED_LIMIT, InstanceSpec, generate
+from .instances import InstanceSpec, generate
 from .jacobian import _THREAD_VARS, hold_one_lane, newton_lanes, usable_cpus
 from .prm import SCHEME_LAST_ITERATE, SCHEME_QUADRATIC_AVG, run_prm
 from .trace import TraceRow
 
-SEED_OFFSET_ENV = "SADDLE_SSN_SEED_OFFSET"
-
+# The four first-order methods, then the three hybrid variants.
 METHODS = ("prm-li", "prm-qa", "eg", "ogda", "pssn-v1", "pssn-v2", "hpssn")
-# Hybrids that switch at the threshold; hpssn probes on gap halving.
-SWITCH_METHODS = ("pssn-v1", "pssn-v2")
 
 TOLERANCES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 
@@ -59,15 +56,12 @@ RUNS_HEADER = "instance,seed,method," + TRACE_HEADER
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One benchmark run: an instance, a seed, and a method token."""
+    """One benchmark run: an instance, a method token, and the config
+    its solver takes (``run_prm`` takes a ``FomConfig``'s fields)."""
 
     spec: InstanceSpec
     method: str
-    gamma: float | None
-    switch_threshold: float
-    target: float
-    fo_budget: int
-    checkpoint_every: int
+    config: FomConfig | HybridConfig
 
     def run_id(self) -> str:
         return f"{self.spec.label()}-s{self.spec.seed}-{self.method}"
@@ -104,24 +98,17 @@ def execute_run(run: RunSpec) -> RunOutput:
     label = run.spec.label()
     try:
         game = _build(run.spec)
-        if run.method in ("prm-li", "prm-qa"):
-            scheme = (SCHEME_LAST_ITERATE if run.method == "prm-li"
-                      else SCHEME_QUADRATIC_AVG)
-            res = run_prm(game, scheme=scheme, max_iters=run.fo_budget,
-                          target_gap=run.target,
-                          check_every=run.checkpoint_every)
+        cfg = run.config
+        if isinstance(cfg, HybridConfig):
+            res = run_hybrid(game, cfg)
         elif run.method == "eg" or run.method == "ogda":
-            cfg = FomConfig(max_iters=run.fo_budget, target_gap=run.target,
-                            check_every=run.checkpoint_every)
             runner = extragradient_run if run.method == "eg" else ogda_run
             res = runner(game, cfg)
         else:
-            cfg = HybridConfig(variant=run.method, gamma=run.gamma,
-                               switch_gap_threshold=run.switch_threshold,
-                               target_gap=run.target,
-                               max_fo_iters=run.fo_budget,
-                               gap_check_period=run.checkpoint_every)
-            res = run_hybrid(game, cfg)
+            scheme = (SCHEME_LAST_ITERATE if run.method == "prm-li"
+                      else SCHEME_QUADRATIC_AVG)
+            res = run_prm(game, scheme, cfg.max_iters, cfg.target_gap,
+                          cfg.check_every)
         return RunOutput(rid, label, run.spec.seed, run.method, res.trace,
                          res.status)
     except Exception as exc:  # noqa: BLE001 - failure row + exit code 1
@@ -247,18 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def run_suite(args: argparse.Namespace) -> int:
-    """Execute the configured runs and write all output files."""
+def run_suite(args: argparse.Namespace, runs: list[RunSpec]) -> int:
+    """Execute the planned runs and write all output files."""
     # A file may have changed since an earlier suite in this process.
     _build.cache_clear()
-    seeds = [s + args.seed_offset for s in args.seed_list]
-    runs = [RunSpec(spec=InstanceSpec(kind=args.kind, n=args.n, m=args.m,
-                                      seed=seed, path=args.path),
-                    method=method, gamma=args.gamma,
-                    switch_threshold=args.switch_threshold,
-                    target=args.target, fo_budget=args.fo_budget,
-                    checkpoint_every=args.checkpoint_every)
-            for seed in seeds for method in args.method_list]
 
     # A fork pool starts all of its workers at the first submit, so it
     # gets no more of them than there are runs.
@@ -294,8 +273,7 @@ def run_suite(args: argparse.Namespace) -> int:
         "path": args.path,
         "n": args.n,
         "m": args.m,
-        "seeds": seeds,
-        "seed_offset": args.seed_offset,
+        "seeds": args.seed_list,
         "methods": args.method_list,
         "gamma": args.gamma,
         "switch_threshold": args.switch_threshold,
@@ -328,54 +306,42 @@ def main(argv: list[str] | None = None) -> int:
         args.seed_list = _parse_seeds(args.seeds)
     except ValueError as exc:
         parser.error(f"invalid --seeds: {exc}")
-    if not args.seed_list:
-        parser.error("no seeds given")
     args.method_list = [tok.strip() for tok in args.methods.split(",")
                         if tok.strip()]
-    if not args.method_list:
-        parser.error("no methods given")
     for method in args.method_list:
         if method not in METHODS:
             parser.error(f"unknown method {method!r}; "
                          f"choose from {', '.join(METHODS)}")
-    # A repeated run would write the same run id twice.
     for name, items in (("seed", args.seed_list),
                         ("method", args.method_list)):
+        if not items:
+            parser.error(f"no {name}s given")
+        # A repeated run would write the same run id twice.
         if len(set(items)) < len(items):
             parser.error(f"a {name} is given twice in {items}")
-    if args.kind == "file" and not args.path:
-        parser.error("--kind file requires --path")
-    if args.kind != "file" and (args.n < 1 or args.m < 1):
-        parser.error("--n and --m must be positive")
-    if args.gamma is not None and not 0.0 < args.gamma < math.inf:
-        parser.error("--gamma must be positive")
+    # FomConfig takes any target; the suite's must be a gap to certify.
     if not 0.0 < args.target < math.inf:
         parser.error(f"--target must be positive and finite, got {args.target}")
-    if args.fo_budget < 1 or args.checkpoint_every < 1:
-        parser.error("budgets must be positive")
-    # Only the switch methods read the threshold, so only they need it
-    # above the target.
-    switching = any(m in SWITCH_METHODS for m in args.method_list)
-    if not (math.isfinite(args.switch_threshold)
-            and (args.target < args.switch_threshold or not switching)):
-        parser.error("--switch-threshold must be finite and exceed --target, "
-                     f"got {args.switch_threshold}")
     if args.workers is not None and args.workers < 1:
         parser.error("--workers must be positive")
-    raw_offset = os.environ.get(SEED_OFFSET_ENV, "0")
+    # The whole suite is planned before any run starts, and each value is
+    # checked by the InstanceSpec or config of the runs that read it.
     try:
-        args.seed_offset = int(raw_offset)
-    except ValueError:
-        parser.error(f"{SEED_OFFSET_ENV} must be an integer, got {raw_offset!r}")
-    lowest = min(args.seed_list) + args.seed_offset
-    highest = max(args.seed_list) + args.seed_offset
-    source = (f"from --seeds {args.seeds!r} and "
-              f"{SEED_OFFSET_ENV}={args.seed_offset}")
-    if lowest < 0:
-        parser.error(f"seeds must be nonnegative, got {lowest} {source}")
-    if highest >= SEED_LIMIT:
-        parser.error(f"seeds must be below 2**128, got {highest} {source}")
-    return run_suite(args)
+        specs = [InstanceSpec(kind=args.kind, n=args.n, m=args.m, seed=seed,
+                              path=args.path) for seed in args.seed_list]
+        fom = FomConfig(max_iters=args.fo_budget, target_gap=args.target,
+                        check_every=args.checkpoint_every)
+        configs = {
+            method: fom if method in METHODS[:4] else HybridConfig(
+                variant=method, gamma=args.gamma,
+                switch_gap_threshold=args.switch_threshold,
+                target_gap=args.target, max_fo_iters=args.fo_budget,
+                gap_check_period=args.checkpoint_every)
+            for method in args.method_list}
+    except ValueError as exc:
+        parser.error(str(exc))
+    return run_suite(args, [RunSpec(spec, method, configs[method])
+                            for spec in specs for method in args.method_list])
 
 
 if __name__ == "__main__":

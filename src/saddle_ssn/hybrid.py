@@ -73,7 +73,8 @@ _BETA0_CEIL = 0.9
 class HybridConfig:
     """Schedule parameters shared by the hybrid variants.
 
-    ``switch_gap_threshold`` hands v1/v2 over to Newton; hpssn ignores it.
+    ``switch_gap_threshold`` hands v1/v2 over to Newton; hpssn ignores it,
+    but every variant needs it finite.
     ``gap_check_period`` is the first-order checkpoint cadence; exact
     gaps are only computed at checkpoints.  ``gamma`` is the splitting
     parameter; None scales it to the payoff (see ``build_context``).
@@ -91,6 +92,9 @@ class HybridConfig:
         if self.variant not in (VARIANT_SWITCH, VARIANT_TUNED,
                                 VARIANT_ALTERNATING):
             raise ValueError(f"unknown hybrid variant {self.variant!r}")
+        if not math.isfinite(self.switch_gap_threshold):
+            raise ValueError("switch gap threshold must be finite, got "
+                             f"{self.switch_gap_threshold}")
         bound = (math.inf if self.variant == VARIANT_ALTERNATING
                  else self.switch_gap_threshold)
         if not 0.0 <= self.target_gap < bound:

@@ -39,7 +39,8 @@ class InstanceSpec:
     """Recipe for one benchmark game.
 
     ``uniform`` draws entries from [-1, 1], ``normal`` from the standard
-    normal; both need n, m, and a seed.  ``file`` loads ``path``.
+    normal; both need n, m, and a seed.  ``file`` loads ``path``; its
+    seed only labels the run.  Every seed lies in [0, 2**128).
     """
 
     kind: str
@@ -54,15 +55,14 @@ class InstanceSpec:
         if self.kind == KIND_FILE:
             if not self.path:
                 raise ValueError("file instances require a path")
-        else:
-            if self.n < 1 or self.m < 1:
-                raise ValueError(
-                    f"random instances require positive dimensions, got "
-                    f"({self.n}, {self.m})")
-            if self.seed < 0:
-                raise ValueError(f"seed must be nonnegative, got {self.seed}")
-            if self.seed >= SEED_LIMIT:
-                raise ValueError(f"seed must be below 2**128, got {self.seed}")
+        elif self.n < 1 or self.m < 1:
+            raise ValueError(
+                f"random instances require positive dimensions, got "
+                f"({self.n}, {self.m})")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.seed >= SEED_LIMIT:
+            raise ValueError(f"seed must be below 2**128, got {self.seed}")
 
     def label(self) -> str:
         """Short identifier used in benchmark output files."""

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from saddle_ssn import instances
+from saddle_ssn.baselines import FomConfig
 from saddle_ssn.cli import (
     METHODS,
     RUNS_HEADER,
@@ -68,8 +69,7 @@ class TestDefaults:
 
     def test_run_id_format(self):
         spec = InstanceSpec(kind="uniform", n=8, m=8, seed=3)
-        run = RunSpec(spec=spec, method="eg", gamma=1.0, switch_threshold=0.1,
-                      target=1e-12, fo_budget=100, checkpoint_every=10)
+        run = RunSpec(spec=spec, method="eg", config=FomConfig())
         assert run.run_id() == "uniform-8x8-s3-eg"
 
 
@@ -184,7 +184,7 @@ class TestSuiteEndToEnd:
         with open(os.path.join(out_dir, "meta.json"), encoding="ascii") as fh:
             meta = json.load(fh)
         assert meta["seeds"] == [0, 1]
-        assert meta["seed_offset"] == 0
+        assert "seed_offset" not in meta
         assert meta["methods"] == ["prm-qa", "pssn-v2"]
         assert meta["workers"] == 1
         assert meta["gamma"] is None  # each game's 3 / sigma_max
@@ -337,6 +337,7 @@ class TestUsageErrors:
         ["--seeds", ""],
         ["--seeds", "1,1"],
         ["--methods", "pssn-v1,pssn-v1"],
+        ["--kind", "file", "--path", "g.csv", "--seeds", "-1"],
     ])
     def test_bad_usage_exits_with_code_two(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -350,8 +351,8 @@ class TestUsageErrors:
             main(["--n", "5", "--m", "5", "--methods", "pssn-v1",
                   "--target", "0.5", "--out-dir", str(out_dir)])
         assert exc.value.code == 2
-        assert ("--switch-threshold must be finite and exceed --target, "
-                "got 0.01") in capsys.readouterr().err
+        assert ("target gap 0.5 must be in [0, 0.01) for pssn-v1"
+                in capsys.readouterr().err)
         assert not out_dir.exists()
 
     def test_hpssn_suites_ignore_the_switch_threshold(self, tmp_path):
@@ -382,7 +383,8 @@ class TestUsageErrors:
                   "--switch-threshold", value,
                   "--out-dir", str(tmp_path / "never")])
         assert exc.value.code == 2
-        assert "--switch-threshold must be finite" in capsys.readouterr().err
+        assert (f"switch gap threshold must be finite, got {value}"
+                in capsys.readouterr().err)
 
     def test_first_order_suites_accept_any_target(self, tmp_path):
         rc, out_dir = run_cli(tmp_path, "loose", [
@@ -406,10 +408,10 @@ class TestUsageErrors:
         (["--target", "inf", "--methods", "prm-qa"],
          "--target must be positive and finite, got inf"),
         (["--switch-threshold", "nan"],
-         "--switch-threshold must be finite and exceed --target, got nan"),
+         "switch gap threshold must be finite, got nan"),
         (["--switch-threshold", "inf"],
-         "--switch-threshold must be finite and exceed --target, got inf"),
-        (["--gamma", "nan"], "--gamma must be positive"),
+         "switch gap threshold must be finite, got inf"),
+        (["--gamma", "nan"], "gamma must be positive and finite, got nan"),
     ])
     def test_non_finite_values_are_usage_errors(self, tmp_path, capsys, argv,
                                                 message):
@@ -419,6 +421,37 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            main(["--n", "5", "--m", "5", "--methods", "eg",
+                  "--seeds", "-1", "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("seeds", [
+        str(2**128), f"{2**128 - 1}..{2**128}"], ids=["single", "range"])
+    def test_seed_past_the_key_limit_is_a_usage_error(self, tmp_path, capsys,
+                                                      seeds):
+        out_dir = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            main(["--n", "5", "--m", "5", "--methods", "eg",
+                  "--seeds", seeds, "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert f"seed must be below 2**128, got {2**128}" in \
+            capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_only_the_hybrids_check_gamma(self, tmp_path):
+        rc, out_dir = run_cli(tmp_path, "eg-only", [
+            "--n", "5", "--m", "5", "--seeds", "0", "--methods", "eg",
+            "--gamma", "0", "--fo-budget", "500", "--workers", "1",
+        ])
+        assert rc == 0
+        rows = read_rows(os.path.join(out_dir, "runs.csv"))
+        assert "ERROR" not in {r["phase"] for r in rows}
 
 
 class TestStartUp:
@@ -450,69 +483,6 @@ class TestStartUp:
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.split() == ["1", "[]"]
-
-
-class TestSeedOffset:
-    def test_environment_offset_shifts_every_seed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SADDLE_SSN_SEED_OFFSET", "7")
-        rc, out_dir = run_cli(tmp_path, "offset", [
-            "--kind", "uniform", "--n", "5", "--m", "5",
-            "--seeds", "0..1", "--methods", "eg",
-            "--fo-budget", "500", "--workers", "1",
-        ])
-        assert rc == 0
-        with open(os.path.join(out_dir, "meta.json"), encoding="ascii") as fh:
-            meta = json.load(fh)
-        assert meta["seeds"] == [7, 8]
-        assert meta["seed_offset"] == 7
-        rows = read_rows(os.path.join(out_dir, "runs.csv"))
-        assert {r["seed"] for r in rows} == {"7", "8"}
-
-    def test_non_integer_offset_is_a_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("SADDLE_SSN_SEED_OFFSET", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["--n", "5", "--m", "5", "--methods", "eg"])
-        assert exc.value.code == 2
-        assert "SADDLE_SSN_SEED_OFFSET must be an integer, got 'abc'" in \
-            capsys.readouterr().err
-
-    def test_negative_shifted_seed_is_a_usage_error(self, tmp_path,
-                                                    monkeypatch, capsys):
-        monkeypatch.setenv("SADDLE_SSN_SEED_OFFSET", "-3")
-        out_dir = tmp_path / "never"
-        with pytest.raises(SystemExit) as exc:
-            main(["--n", "5", "--m", "5", "--methods", "eg",
-                  "--seeds", "2..4", "--out-dir", str(out_dir)])
-        assert exc.value.code == 2
-        assert "seeds must be nonnegative, got -1" in capsys.readouterr().err
-        assert not out_dir.exists()
-
-    @pytest.mark.parametrize("offset, seeds", [
-        ("0", str(2**128)), (str(2**128 - 1), "0..1")])
-    def test_seed_past_the_key_limit_is_a_usage_error(
-            self, tmp_path, monkeypatch, capsys, offset, seeds):
-        monkeypatch.setenv("SADDLE_SSN_SEED_OFFSET", offset)
-        out_dir = tmp_path / "never"
-        with pytest.raises(SystemExit) as exc:
-            main(["--n", "5", "--m", "5", "--methods", "eg",
-                  "--seeds", seeds, "--out-dir", str(out_dir)])
-        assert exc.value.code == 2
-        assert f"seeds must be below 2**128, got {2**128}" in \
-            capsys.readouterr().err
-        assert not out_dir.exists()
-
-    def test_offset_matches_directly_shifted_seeds(self, tmp_path, monkeypatch):
-        base = ["--kind", "uniform", "--n", "5", "--m", "5",
-                "--methods", "eg", "--fo-budget", "500", "--workers", "1"]
-        monkeypatch.setenv("SADDLE_SSN_SEED_OFFSET", "3")
-        rc1, dir1 = run_cli(tmp_path, "env", base + ["--seeds", "0"])
-        monkeypatch.delenv("SADDLE_SSN_SEED_OFFSET")
-        rc2, dir2 = run_cli(tmp_path, "plain", base + ["--seeds", "3"])
-        assert rc1 == rc2 == 0
-        strip = (lambda line: line.rsplit(",", 1)[0])
-        first = [strip(l) for l in read_lines(os.path.join(dir1, "runs.csv"))]
-        second = [strip(l) for l in read_lines(os.path.join(dir2, "runs.csv"))]
-        assert first == second
 
 
 class TestDefaultWorkers:

@@ -70,6 +70,10 @@ class TestHybridConfig:
         {"variant": "hpssn", "target_gap": -1e-12},
         {"variant": "hpssn", "target_gap": float("nan")},
         {"variant": "hpssn", "target_gap": float("inf")},
+        {"switch_gap_threshold": float("inf")},
+        {"variant": "pssn-v2", "switch_gap_threshold": float("inf")},
+        {"variant": "hpssn", "switch_gap_threshold": float("nan")},
+        {"variant": "hpssn", "switch_gap_threshold": float("inf")},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):

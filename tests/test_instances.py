@@ -37,6 +37,13 @@ class TestInstanceSpec:
         with pytest.raises(ValueError, match="below 2\\*\\*128"):
             InstanceSpec(kind="uniform", n=2, m=2, seed=2**128)
 
+    def test_file_seeds_stay_in_the_key_range(self):
+        InstanceSpec(kind="file", path="g.csv", seed=2**128 - 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            InstanceSpec(kind="file", path="g.csv", seed=-1)
+        with pytest.raises(ValueError, match="below 2\\*\\*128"):
+            InstanceSpec(kind="file", path="g.csv", seed=2**128)
+
     def test_file_kind_requires_a_path(self):
         InstanceSpec(kind="file", path="games/a.csv")
         with pytest.raises(ValueError):
